@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use r3dla_bench::Prepared;
+use r3dla_bench::{CellKind, Prepared};
 use r3dla_core::{DlaConfig, Kernel, SingleCoreSim};
 use r3dla_cpu::CoreConfig;
 use r3dla_isa::{DataMem, VecMem};
@@ -101,7 +101,7 @@ fn bench_dla_system(c: &mut Criterion) {
     for (name, fast) in [("cycle_by_cycle_libq", false), ("event_driven_libq", true)] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let rep = prepared.measure_dla_ff(DlaConfig::dla(), 5_000, 20_000, fast);
+                let rep = prepared.measure(&CellKind::Dla(DlaConfig::dla()), 5_000, 20_000, fast);
                 black_box(rep.mt_committed)
             })
         });
@@ -150,21 +150,6 @@ fn bench_kernel(c: &mut Criterion) {
             black_box(dispatched)
         })
     });
-    g.finish();
-    // End-to-end: a memory-bound DLA cell pumped by the event kernel vs
-    // the legacy lockstep loop — the refactor's overhead as a number.
-    let prepared = Prepared::new(&by_name("mcf_like").unwrap(), Scale::Tiny);
-    let mut g = c.benchmark_group("kernel_cell");
-    g.sample_size(10);
-    for (name, event_kernel) in [("legacy_loop_mcf", false), ("event_kernel_mcf", true)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let rep =
-                    prepared.measure_dla_mode(DlaConfig::dla(), 5_000, 20_000, true, event_kernel);
-                black_box(rep.mt_committed)
-            })
-        });
-    }
     g.finish();
 }
 

@@ -1,7 +1,7 @@
 //! Quick per-technique ablation over a handful of kernels: each R3
 //! ingredient applied alone on top of baseline DLA.
 
-use r3dla_bench::{arg_threads, prepare_some_threads, ExperimentSpec};
+use r3dla_bench::{arg_threads, prepare_some_threads, CellKind, ExperimentSpec};
 use r3dla_core::{DlaConfig, RecycleMode};
 use r3dla_workloads::Scale;
 
@@ -17,7 +17,7 @@ fn main() {
         "ABLATE",
         &["DLA", "+T1 %", "+VR %", "+FB %", "+RC %", "R3 %"],
         move |p| {
-            let run = |cfg: DlaConfig| p.measure_dla(cfg, warm, win).mt_ipc;
+            let run = |cfg: DlaConfig| p.measure(&CellKind::Dla(cfg), warm, win, true).mt_ipc;
             let base = run(DlaConfig::dla());
             let pct = |ipc: f64| (ipc / base - 1.0) * 100.0;
             let t1 = {

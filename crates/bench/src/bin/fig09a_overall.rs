@@ -1,7 +1,9 @@
 //! Fig 9-a: overall speedups of BL(noPF)/BL/DLA(noPF)/DLA/R3(noPF)/R3,
 //! normalized to BL (baseline with BOP at L2).
 
-use r3dla_bench::{arg_threads, arg_u64, prepare_all_threads, ExperimentSpec, WARMUP, WINDOW};
+use r3dla_bench::{
+    arg_threads, arg_u64, prepare_all_threads, CellKind, ExperimentSpec, WARMUP, WINDOW,
+};
 use r3dla_core::DlaConfig;
 use r3dla_cpu::CoreConfig;
 use r3dla_workloads::Scale;
@@ -15,16 +17,17 @@ fn main() {
         "FIG9a",
         &["BL(noPF)", "BL", "DLA(noPF)", "DLA", "R3(noPF)", "R3-DLA"],
         move |p| {
-            let bl = p.measure_single(CoreConfig::paper(), None, Some("bop"), warm, win);
-            let bl_nopf = p.measure_single(CoreConfig::paper(), None, None, warm, win);
-            let dla_nopf = p
-                .measure_dla(DlaConfig::dla().without_prefetcher(), warm, win)
-                .mt_ipc;
-            let dla = p.measure_dla(DlaConfig::dla(), warm, win).mt_ipc;
-            let r3_nopf = p
-                .measure_dla(DlaConfig::r3().without_prefetcher(), warm, win)
-                .mt_ipc;
-            let r3 = p.measure_dla(DlaConfig::r3(), warm, win).mt_ipc;
+            let ipc = |kind: CellKind| p.measure(&kind, warm, win, true).mt_ipc;
+            let bl = ipc(CellKind::bl(CoreConfig::paper()));
+            let bl_nopf = ipc(CellKind::Single {
+                core: CoreConfig::paper(),
+                l1pf: None,
+                l2pf: None,
+            });
+            let dla_nopf = ipc(CellKind::Dla(DlaConfig::dla().without_prefetcher()));
+            let dla = ipc(CellKind::Dla(DlaConfig::dla()));
+            let r3_nopf = ipc(CellKind::Dla(DlaConfig::r3().without_prefetcher()));
+            let r3 = ipc(CellKind::Dla(DlaConfig::r3()));
             [bl_nopf, bl, dla_nopf, dla, r3_nopf, r3]
                 .iter()
                 .map(|v| v / bl.max(1e-9))

@@ -2,7 +2,9 @@
 //! CRE, DLA and R3-DLA, normalized to BL.
 
 use r3dla_baselines::{slipstream_system, BFetchSim, CreSim};
-use r3dla_bench::{arg_threads, arg_u64, prepare_all_threads, ExperimentSpec, WARMUP, WINDOW};
+use r3dla_bench::{
+    arg_threads, arg_u64, prepare_all_threads, CellKind, ExperimentSpec, WARMUP, WINDOW,
+};
 use r3dla_core::DlaConfig;
 use r3dla_cpu::CoreConfig;
 use r3dla_workloads::Scale;
@@ -16,12 +18,13 @@ fn main() {
         "FIG9b",
         &["B-Fetch", "S-Stream", "CRE", "DLA", "R3-DLA"],
         move |p| {
-            let bl = p.measure_single(CoreConfig::paper(), None, Some("bop"), warm, win);
+            let ipc = |kind: CellKind| p.measure(&kind, warm, win, true).mt_ipc;
+            let bl = ipc(CellKind::bl(CoreConfig::paper()));
             let bf = BFetchSim::build(p.built()).measure(warm, win).0;
             let ss = slipstream_system(p.built()).measure(warm, win).mt_ipc;
             let cre = CreSim::build(p.built()).measure(warm, win).0;
-            let dla = p.measure_dla(DlaConfig::dla(), warm, win).mt_ipc;
-            let r3 = p.measure_dla(DlaConfig::r3(), warm, win).mt_ipc;
+            let dla = ipc(CellKind::Dla(DlaConfig::dla()));
+            let r3 = ipc(CellKind::Dla(DlaConfig::r3()));
             [bf, ss, cre, dla, r3]
                 .iter()
                 .map(|v| v / bl.max(1e-9))

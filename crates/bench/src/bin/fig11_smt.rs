@@ -3,7 +3,8 @@
 //! normalized to a half-core (HC).
 
 use r3dla_bench::{
-    arg_threads, arg_u64, measure_smt, prepare_all_threads, ExperimentSpec, WARMUP, WINDOW,
+    arg_threads, arg_u64, measure_smt, prepare_all_threads, CellKind, ExperimentSpec, WARMUP,
+    WINDOW,
 };
 use r3dla_core::DlaConfig;
 use r3dla_cpu::CoreConfig;
@@ -23,12 +24,13 @@ fn main() {
     let threads = arg_threads();
     let prepared = prepare_all_threads(Scale::Ref, threads);
     let spec = ExperimentSpec::new("FIG11", &["FC", "DLA", "R3-DLA", "SMT"], move |p| {
-        let hc = p.measure_single(CoreConfig::half_core(), None, Some("bop"), warm, win);
-        let fc = p.measure_single(CoreConfig::wide_smt(), None, Some("bop"), warm, win);
-        let dla = p.measure_dla(mk_half(DlaConfig::dla()), warm, win).mt_ipc;
+        let ipc = |kind: CellKind| p.measure(&kind, warm, win, true).mt_ipc;
+        let hc = ipc(CellKind::bl(CoreConfig::half_core()));
+        let fc = ipc(CellKind::bl(CoreConfig::wide_smt()));
+        let dla = ipc(CellKind::Dla(mk_half(DlaConfig::dla())));
         let mut r3_cfg = mk_half(DlaConfig::r3());
         r3_cfg.mt_core.fetch_buffer = 32;
-        let r3 = p.measure_dla(r3_cfg, warm, win).mt_ipc;
+        let r3 = ipc(CellKind::Dla(r3_cfg));
         // The paper's R3-on-SMT allows an *empty skeleton*, handing the
         // whole core to the main thread when look-ahead does not pay; at
         // benchmark granularity that is max(R3-half, FC).

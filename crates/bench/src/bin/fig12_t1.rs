@@ -1,7 +1,9 @@
 //! Fig 12: DLA+stride-prefetcher vs DLA+T1 — speedup over baseline DLA
 //! and normalized memory traffic.
 
-use r3dla_bench::{arg_threads, arg_u64, prepare_all_threads, ExperimentSpec, WARMUP, WINDOW};
+use r3dla_bench::{
+    arg_threads, arg_u64, prepare_all_threads, CellKind, ExperimentSpec, WARMUP, WINDOW,
+};
 use r3dla_core::DlaConfig;
 use r3dla_workloads::Scale;
 
@@ -19,16 +21,17 @@ fn main() {
             "traffic DLA+T1",
         ],
         move |p| {
-            let base = p.measure_dla(DlaConfig::dla(), warm, win);
+            let run = |cfg: DlaConfig| p.measure(&CellKind::Dla(cfg), warm, win, true);
+            let base = run(DlaConfig::dla());
             let stride = {
                 let mut c = DlaConfig::dla();
                 c.mt_l1_prefetcher = Some("stride");
-                p.measure_dla(c, warm, win)
+                run(c)
             };
             let t1 = {
                 let mut c = DlaConfig::dla();
                 c.t1 = true;
-                p.measure_dla(c, warm, win)
+                run(c)
             };
             vec![
                 stride.mt_ipc / base.mt_ipc.max(1e-9),

@@ -2,7 +2,7 @@
 //! recycling; (c) synergy — each technique applied first vs last.
 
 use r3dla_bench::{
-    arg_threads, arg_u64, prepare_all_threads, ExperimentSpec, Prepared, WARMUP, WINDOW,
+    arg_threads, arg_u64, prepare_all_threads, CellKind, ExperimentSpec, Prepared, WARMUP, WINDOW,
 };
 use r3dla_core::{DlaConfig, RecycleMode};
 use r3dla_cpu::CoreConfig;
@@ -43,28 +43,30 @@ fn main() {
             "FB last",
         ],
         move |p| {
+            let ipc = |kind: CellKind| p.measure(&kind, warm, win, true).mt_ipc;
+            let dla_ipc = |cfg: DlaConfig| ipc(CellKind::Dla(cfg));
             // ---- (a) fetch buffer ------------------------------------
-            let bl8 = p.measure_single(CoreConfig::paper(), None, Some("bop"), warm, win);
+            let bl8 = ipc(CellKind::bl(CoreConfig::paper()));
             let bl32 = {
                 let mut c = CoreConfig::paper();
                 c.fetch_buffer = 32;
-                p.measure_single(c, None, Some("bop"), warm, win)
+                ipc(CellKind::bl(c))
             };
-            let dla = p.measure_dla(DlaConfig::dla(), warm, win).mt_ipc;
+            let dla = dla_ipc(DlaConfig::dla());
             let dla_fb = {
                 let mut c = DlaConfig::dla();
                 fb(&mut c);
-                p.measure_dla(c, warm, win).mt_ipc
+                dla_ipc(c)
             };
             // ---- (b) recycle: dynamic vs static ----------------------
             let dynamic = {
                 let mut c = DlaConfig::dla();
                 c.recycle = RecycleMode::Dynamic;
-                p.measure_dla(c, warm, win).mt_ipc
+                dla_ipc(c)
             };
             let static_ipc = static_tuned_ipc(p, warm, win);
             // ---- (c) synergy: first vs last --------------------------
-            let r3 = p.measure_dla(DlaConfig::r3(), warm, win).mt_ipc;
+            let r3 = dla_ipc(DlaConfig::r3());
             let mut firsts = Vec::new();
             let mut lasts = Vec::new();
             // Apply techniques: 0 = AS/RC (adaptive skeleton), 1 = VR,
@@ -86,8 +88,8 @@ fn main() {
                         without.mt_core.fetch_buffer = 8;
                     }
                 }
-                let only_ipc = p.measure_dla(only, warm, win).mt_ipc;
-                let without_ipc = p.measure_dla(without, warm, win).mt_ipc;
+                let only_ipc = dla_ipc(only);
+                let without_ipc = dla_ipc(without);
                 firsts.push(only_ipc / dla.max(1e-9));
                 lasts.push(r3 / without_ipc.max(1e-9));
             }

@@ -45,6 +45,7 @@ fn main() {
         None => Scale::Ref,
     };
     let threads = arg_threads();
+    let out_path = arg_str("--out");
     let warm = arg_u64("--warm", WARMUP);
     let win = arg_u64("--window", WINDOW);
     let config_name = arg_str("--config").unwrap_or_else(|| "r3".to_string());
@@ -198,7 +199,6 @@ fn main() {
     }
     out.push_str("  ]\n}\n");
 
-    let out_path = arg_str("--out");
     match &out_path {
         Some(path) => {
             std::fs::write(path, &out).unwrap_or_else(|e| {

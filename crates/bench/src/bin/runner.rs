@@ -122,6 +122,12 @@ fn main() {
         win,
         fast_forward: !arg_flag("--no-skip"),
     };
+    // Output paths are read before the campaign runs, so a flag with a
+    // missing value fails at once rather than after the whole grid.
+    let out = arg_str("--out");
+    let timing_out = arg_str("--timing-out");
+    let check_against = arg_str("--check-against");
+    let tolerance = arg_f64("--check-tolerance", 0.25);
     eprintln!(
         "runner: {} workloads x {} configs on {} threads{}{}",
         spec.workloads.len(),
@@ -138,9 +144,9 @@ fn main() {
         }
     );
 
-    let write_out = |json: &str| match arg_str("--out") {
+    let write_out = |json: &str| match &out {
         Some(path) => {
-            std::fs::write(&path, json).unwrap_or_else(|e| {
+            std::fs::write(path, json).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(2);
             });
@@ -150,7 +156,6 @@ fn main() {
     };
     let session = r3dla_obs::Session::from_env();
     let finalize = |mips: Option<f64>| {
-        let out = arg_str("--out");
         if let Err(e) = session.finalize(out.as_deref().map(std::path::Path::new), mips) {
             eprintln!("runner: telemetry write failed: {e}");
         }
@@ -165,8 +170,8 @@ fn main() {
         let result = run_grid_sampled(&spec, &sample, threads);
         write_out(&result.to_json(arg_flag("--timing")));
         finalize(None);
-        if let Some(path) = arg_str("--timing-out") {
-            std::fs::write(&path, result.to_json(true)).unwrap_or_else(|e| {
+        if let Some(path) = &timing_out {
+            std::fs::write(path, result.to_json(true)).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(2);
             });
@@ -183,12 +188,11 @@ fn main() {
             result.measure_ms,
         );
         let mut failed = false;
-        if let Some(path) = arg_str("--check-against") {
-            let reference = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        if let Some(path) = &check_against {
+            let reference = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(2);
             });
-            let tolerance = arg_f64("--check-tolerance", 0.25);
             let failures = check_against_reference(&result, &reference, tolerance);
             for f in &failures {
                 eprintln!("runner: CHECK FAIL {f}");
@@ -232,8 +236,8 @@ fn main() {
     }
     let result = run_grid(&spec, threads);
     write_out(&result.to_json(arg_flag("--timing")));
-    if let Some(path) = arg_str("--timing-out") {
-        std::fs::write(&path, result.to_json(true)).unwrap_or_else(|e| {
+    if let Some(path) = &timing_out {
+        std::fs::write(path, result.to_json(true)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });

@@ -1,7 +1,7 @@
 //! Quick end-to-end sanity check: BL vs DLA vs R3 IPC, reboot counts and
 //! LT/MT commit ratio on a handful of kernels.
 
-use r3dla_bench::{arg_threads, prepare_some_threads, ExperimentSpec};
+use r3dla_bench::{arg_threads, prepare_some_threads, CellKind, ExperimentSpec};
 use r3dla_core::DlaConfig;
 use r3dla_cpu::CoreConfig;
 use r3dla_workloads::Scale;
@@ -25,11 +25,12 @@ fn main() {
         "SANITY",
         &["BL", "DLA", "R3", "DLA reboots", "R3 reboots", "lt/mt"],
         move |p| {
-            let bl = p.measure_single(CoreConfig::paper(), None, Some("bop"), warm, win);
-            let d = p.measure_dla(DlaConfig::dla(), warm, win);
-            let r = p.measure_dla(DlaConfig::r3(), warm, win);
+            let run = |kind: CellKind| p.measure(&kind, warm, win, true);
+            let bl = run(CellKind::bl(CoreConfig::paper()));
+            let d = run(CellKind::Dla(DlaConfig::dla()));
+            let r = run(CellKind::Dla(DlaConfig::r3()));
             vec![
-                bl,
+                bl.mt_ipc,
                 d.mt_ipc,
                 r.mt_ipc,
                 d.reboots as f64,

@@ -195,117 +195,37 @@ impl Prepared {
         )
     }
 
-    /// Measures a DLA configuration; returns the window report.
-    pub fn measure_dla(&self, cfg: DlaConfig, warm: u64, win: u64) -> WindowReport {
-        self.measure_dla_ff(cfg, warm, win, true)
-    }
-
-    /// [`measure_dla`](Self::measure_dla) with event-driven cycle
-    /// skipping explicitly enabled or disabled — the reports are
-    /// identical either way (only wall-clock differs); the knob exists
-    /// for equivalence checks.
-    pub fn measure_dla_ff(
+    /// Measures one cell: assembles the system `kind` describes, warms
+    /// it over `warm` committed instructions, then measures a window of
+    /// `win`. `fast_forward` turns event-driven cycle skipping on or off;
+    /// the report is identical either way (only wall-clock differs).
+    /// This is the one measure entry point for the grid runner, the
+    /// figure binaries and the tests.
+    pub fn measure(
         &self,
-        cfg: DlaConfig,
+        kind: &CellKind,
         warm: u64,
         win: u64,
         fast_forward: bool,
     ) -> WindowReport {
-        self.measure_dla_mode(
-            cfg,
-            warm,
-            win,
-            fast_forward,
-            r3dla_core::event_kernel_default(),
-        )
-    }
-
-    /// [`measure_dla_ff`](Self::measure_dla_ff) with the run loop also
-    /// pinned: `event_kernel` selects the event-driven kernel loop or the
-    /// legacy lockstep loop. All four combinations report identically;
-    /// the knobs exist for the equivalence suite and CI smoke, pinned per
-    /// instance because `R3DLA_EVENT_KERNEL` is racy under parallel
-    /// tests.
-    pub fn measure_dla_mode(
-        &self,
-        cfg: DlaConfig,
-        warm: u64,
-        win: u64,
-        fast_forward: bool,
-        event_kernel: bool,
-    ) -> WindowReport {
-        let mut sys = self.dla_system(cfg);
-        sys.set_fast_forward(fast_forward);
-        sys.set_event_kernel(event_kernel);
-        sys.measure(warm, win)
-    }
-
-    /// Measures a single-core configuration; returns IPC.
-    pub fn measure_single(
-        &self,
-        core: CoreConfig,
-        l1pf: Option<&str>,
-        l2pf: Option<&str>,
-        warm: u64,
-        win: u64,
-    ) -> f64 {
-        self.measure_single_report(core, l1pf, l2pf, warm, win)
-            .mt_ipc
-    }
-
-    /// Measures a single-core configuration with the full windowed
-    /// counter set (LT fields zero) — the grid runner's `bl*` cells.
-    pub fn measure_single_report(
-        &self,
-        core: CoreConfig,
-        l1pf: Option<&str>,
-        l2pf: Option<&str>,
-        warm: u64,
-        win: u64,
-    ) -> WindowReport {
-        self.measure_single_report_ff(core, l1pf, l2pf, warm, win, true)
-    }
-
-    /// [`measure_single_report`](Self::measure_single_report) with
-    /// event-driven cycle skipping explicitly enabled or disabled.
-    pub fn measure_single_report_ff(
-        &self,
-        core: CoreConfig,
-        l1pf: Option<&str>,
-        l2pf: Option<&str>,
-        warm: u64,
-        win: u64,
-        fast_forward: bool,
-    ) -> WindowReport {
-        self.measure_single_report_mode(
-            core,
-            l1pf,
-            l2pf,
-            warm,
-            win,
-            fast_forward,
-            r3dla_core::event_kernel_default(),
-        )
-    }
-
-    /// [`measure_single_report_ff`](Self::measure_single_report_ff) with
-    /// the run loop also pinned (see
-    /// [`measure_dla_mode`](Self::measure_dla_mode)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_single_report_mode(
-        &self,
-        core: CoreConfig,
-        l1pf: Option<&str>,
-        l2pf: Option<&str>,
-        warm: u64,
-        win: u64,
-        fast_forward: bool,
-        event_kernel: bool,
-    ) -> WindowReport {
-        let mut sim = SingleCoreSim::build(&self.built, core, MemConfig::paper(), l1pf, l2pf);
-        sim.set_fast_forward(fast_forward);
-        sim.set_event_kernel(event_kernel);
-        sim.measure(warm, win)
+        match kind {
+            CellKind::Dla(cfg) => {
+                let mut sys = self.dla_system(cfg.clone());
+                sys.set_fast_forward(fast_forward);
+                sys.measure(warm, win)
+            }
+            CellKind::Single { core, l1pf, l2pf } => {
+                let mut sim = SingleCoreSim::build(
+                    &self.built,
+                    core.clone(),
+                    MemConfig::paper(),
+                    *l1pf,
+                    *l2pf,
+                );
+                sim.set_fast_forward(fast_forward);
+                sim.measure(warm, win)
+            }
+        }
     }
 }
 
@@ -454,16 +374,27 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
 }
 
 /// Returns the string argument following `name` in argv, if present.
+/// A flag with no value after it, or followed by another `--flag`,
+/// aborts like an unparsable value in [`arg_u64`].
 pub fn arg_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name {
-            if let Some(v) = args.get(i + 1) {
-                return Some(v.clone());
-            }
-        }
+    flag_value(&args, name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The value following the first `name` in `args`: `Ok(None)` when the
+/// flag is absent, `Err` when nothing follows it or the next argument is
+/// itself a `--flag`.
+pub fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("missing value for {name}")),
     }
-    None
 }
 
 /// Whether a bare `--flag` is present in argv.
@@ -485,10 +416,28 @@ mod tests {
     fn prepare_and_measure_one() {
         let p = prepare_some(&["md5_like"], Scale::Tiny);
         assert_eq!(p.len(), 1);
-        let ipc = p[0].measure_single(CoreConfig::paper(), None, Some("bop"), 2_000, 8_000);
-        assert!(ipc > 0.0);
-        let rep = p[0].measure_dla(DlaConfig::dla(), 2_000, 8_000);
+        let bl = p[0].measure(&CellKind::bl(CoreConfig::paper()), 2_000, 8_000, true);
+        assert!(bl.mt_ipc > 0.0);
+        let rep = p[0].measure(&CellKind::Dla(DlaConfig::dla()), 2_000, 8_000, true);
         assert!(rep.mt_ipc > 0.0);
+    }
+
+    #[test]
+    fn flag_value_rejects_missing_values() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let argv = args(&["runner", "--out", "x.json", "--window"]);
+        assert_eq!(flag_value(&argv, "--out"), Ok(Some("x.json".to_string())));
+        assert_eq!(flag_value(&argv, "--warm"), Ok(None));
+        assert!(
+            flag_value(&argv, "--window").is_err(),
+            "flag at the end of argv"
+        );
+        let argv = args(&["runner", "--out", "--threads", "2"]);
+        assert!(
+            flag_value(&argv, "--out").is_err(),
+            "flag followed by a flag"
+        );
+        assert_eq!(flag_value(&argv, "--threads"), Ok(Some("2".to_string())));
     }
 
     #[test]

@@ -103,6 +103,17 @@ pub enum CellKind {
     },
 }
 
+impl CellKind {
+    /// The paper's baseline single core: no L1 prefetcher, BOP at L2.
+    pub fn bl(core: CoreConfig) -> Self {
+        CellKind::Single {
+            core,
+            l1pf: None,
+            l2pf: Some("bop"),
+        }
+    }
+}
+
 /// A named configuration column of the grid.
 #[derive(Debug, Clone)]
 pub struct ConfigSpec {
@@ -118,18 +129,6 @@ impl ConfigSpec {
         Self {
             label: label.to_string(),
             kind: CellKind::Dla(cfg),
-        }
-    }
-
-    /// A single-core column.
-    pub fn single(label: &str, core: CoreConfig, l1pf: Option<&'static str>) -> Self {
-        Self {
-            label: label.to_string(),
-            kind: CellKind::Single {
-                core,
-                l1pf,
-                l2pf: Some("bop"),
-            },
         }
     }
 
@@ -154,7 +153,10 @@ impl ConfigSpec {
     /// Resolves a standard configuration by name.
     pub fn by_name(name: &str) -> Option<Self> {
         let spec = match name {
-            "bl" => Self::single("bl", CoreConfig::paper(), None),
+            "bl" => Self {
+                label: "bl".to_string(),
+                kind: CellKind::bl(CoreConfig::paper()),
+            },
             "bl_nopf" => Self {
                 label: "bl_nopf".to_string(),
                 kind: CellKind::Single {
@@ -341,52 +343,6 @@ pub fn scale_by_name(name: &str) -> Option<Scale> {
     }
 }
 
-/// Runs one cell of a grid against a prepared workload. `fast_forward`
-/// selects the event-driven fast path (results are identical either way).
-pub fn run_cell(
-    p: &Prepared,
-    spec: &ConfigSpec,
-    warm: u64,
-    win: u64,
-    fast_forward: bool,
-) -> WindowReport {
-    run_cell_mode(
-        p,
-        spec,
-        warm,
-        win,
-        fast_forward,
-        r3dla_core::event_kernel_default(),
-    )
-}
-
-/// [`run_cell`] with the run loop also pinned: `event_kernel` selects
-/// the event-driven kernel loop or the legacy lockstep loop
-/// (byte-identical results — the equivalence suite asserts it per cell).
-pub fn run_cell_mode(
-    p: &Prepared,
-    spec: &ConfigSpec,
-    warm: u64,
-    win: u64,
-    fast_forward: bool,
-    event_kernel: bool,
-) -> WindowReport {
-    match &spec.kind {
-        CellKind::Dla(cfg) => {
-            p.measure_dla_mode(cfg.clone(), warm, win, fast_forward, event_kernel)
-        }
-        CellKind::Single { core, l1pf, l2pf } => p.measure_single_report_mode(
-            core.clone(),
-            *l1pf,
-            *l2pf,
-            warm,
-            win,
-            fast_forward,
-            event_kernel,
-        ),
-    }
-}
-
 /// Prepares the grid's workloads and measures every cell under a
 /// supervisor configured from the environment (`R3DLA_FAULT_PLAN`,
 /// `R3DLA_CELL_DEADLINE_MS`, `R3DLA_CELL_CYCLE_BUDGET`), both phases on
@@ -495,9 +451,8 @@ impl GridPlan {
     /// deterministic JSON).
     pub fn evaluate(&self, cell: GridCell) -> (WindowReport, u64) {
         let c0 = Instant::now();
-        let report = run_cell(
-            &self.prepared[cell.workload],
-            &self.spec.configs[cell.config],
+        let report = self.prepared[cell.workload].measure(
+            &self.spec.configs[cell.config].kind,
             self.spec.warm,
             self.spec.win,
             self.spec.fast_forward,

@@ -5,6 +5,11 @@
 //! [`DlaSystem`](crate::DlaSystem)s sharing an LLC/DRAM model — under
 //! one global clock.
 //!
+//! The kernel serves [`Cluster`] only. A single system has one actor,
+//! so [`DlaSystem::run_until_mt`](crate::DlaSystem::run_until_mt) and
+//! [`SingleCoreSim::run_until`](crate::SingleCoreSim::run_until) are
+//! plain loops over the same per-quantum advance a cluster dispatches.
+//!
 //! # The wakeup contract
 //!
 //! An actor is anything that can answer "when must I next be
@@ -14,9 +19,8 @@
 //! to sleep), waking it late never happens. Because a provably quiescent
 //! stretch replayed by `skip_to` is byte-identical to stepping it, *any*
 //! dispatch schedule that respects the bound produces the same simulated
-//! state — which is why the event-driven loop, the legacy lockstep loop
-//! (`R3DLA_EVENT_KERNEL=0`) and any interleaving of cluster tenants all
-//! agree to the bit.
+//! state — which is why a single system's plain loop, a one-tenant
+//! cluster and any interleaving of cluster tenants all agree to the bit.
 //!
 //! # Determinism rules
 //!
@@ -42,15 +46,10 @@ use crate::system::{MeasureTarget, SysSnapshot, WindowReport};
 /// at 0 in registration order).
 pub type ActorId = usize;
 
-/// Whether the event-kernel run loop is enabled by default, read from
-/// the `R3DLA_EVENT_KERNEL` environment variable at system construction
-/// (anything but `"0"`, including unset, means on). The legacy lockstep
-/// loop behind `R3DLA_EVENT_KERNEL=0` is byte-identical and exists so CI
-/// can `cmp` the two paths; tests toggle per instance via
-/// `set_event_kernel` instead, because environment variables are racy
-/// under a parallel test harness.
+// Inert shim: only the frozen perfbench harness calls it; a later benchmark change removes it.
+#[doc(hidden)]
 pub fn event_kernel_default() -> bool {
-    std::env::var_os("R3DLA_EVENT_KERNEL").is_none_or(|v| v != "0")
+    true
 }
 
 /// Buckets in the calendar wheel: one simulated cycle each. Core wakeups

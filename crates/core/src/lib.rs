@@ -19,8 +19,8 @@
 //! * [`DlaSystem`] — the assembled two-core system; [`SingleCoreSim`] —
 //!   the conventional baseline;
 //! * [`Kernel`] / [`Cluster`] — the deterministic discrete-event
-//!   scheduler the run loops pump, and the multi-tenant driver hosting N
-//!   systems (shared LLC/DRAM) under one global clock;
+//!   scheduler and the multi-tenant driver it serves, hosting N systems
+//!   (shared LLC/DRAM) under one global clock;
 //! * [`ilp_limit`] — the Fig 1 implicit-parallelism limit study.
 //!
 //! # Examples

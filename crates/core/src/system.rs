@@ -15,7 +15,7 @@ use r3dla_mem::{CacheStats, CoreMem, DramStats, MemConfig, SharedLlc};
 use r3dla_workloads::BuiltWorkload;
 
 use crate::dataflow::Dataflow;
-use crate::kernel::{event_kernel_default, Kernel, KernelActor};
+use crate::kernel::KernelActor;
 use crate::overlay::OverlayMem;
 use crate::profile::{profile, ProfileData};
 use crate::queues::{Boq, BoqDirection, Footnote, FootnoteQueue};
@@ -354,7 +354,6 @@ pub struct DlaSystem {
     pending_reboot: bool,
     pending_since: u64,
     fast_forward: bool,
-    event_kernel: bool,
     /// Total reboots performed.
     pub reboots: u64,
     /// The profile used for skeleton generation.
@@ -612,7 +611,6 @@ impl DlaSystem {
             pending_reboot: false,
             pending_since: 0,
             fast_forward: true,
-            event_kernel: event_kernel_default(),
             reboots: 0,
             profile: prof,
         }
@@ -798,13 +796,9 @@ impl DlaSystem {
         self.fast_forward = on;
     }
 
-    /// Selects the event-kernel run loop (default per
-    /// [`event_kernel_default`](crate::event_kernel_default), i.e. on
-    /// unless `R3DLA_EVENT_KERNEL=0`). Both loops are byte-identical; the
-    /// legacy lockstep loop survives one release as the `cmp` reference.
-    pub fn set_event_kernel(&mut self, on: bool) {
-        self.event_kernel = on;
-    }
+    // Inert shim: only the frozen perfbench harness calls it; a later benchmark change removes it.
+    #[doc(hidden)]
+    pub fn set_event_kernel(&mut self, _on: bool) {}
 
     /// Whether LT participates in the current cycle: not frozen by a
     /// pending reboot drain or a full BOQ, and not halted. The single
@@ -893,8 +887,9 @@ impl DlaSystem {
     /// activity probe shows the previous dispatch already idle) a
     /// proven-quiescent skip bounded by `cap`. Returns the global cycle
     /// at which the system must next be dispatched — its next wakeup.
-    /// This is the one advance path under both run loops, so the skip
-    /// bookkeeping (occupancy histograms, fetch-bubble accounting inside
+    /// This is the one advance path for both [`run_until_mt`](Self::run_until_mt)
+    /// and a [`Cluster`](crate::Cluster), so the skip bookkeeping
+    /// (occupancy histograms, fetch-bubble accounting inside
     /// `Core::skip_to`) cannot diverge between them.
     fn advance_once(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
         if self.fast_forward {
@@ -921,60 +916,23 @@ impl DlaSystem {
     /// With fast-forwarding enabled (the default), stretches where both
     /// cores are provably stalled — e.g. LT blocked on DRAM while MT
     /// waits on an empty BOQ — are skipped to the next wakeup instead of
-    /// being stepped cycle by cycle, with byte-identical results. The
-    /// loop itself is a thin driver pumping a single-actor
-    /// [`Kernel`](crate::Kernel) (or the legacy lockstep `while` loop
-    /// under `R3DLA_EVENT_KERNEL=0` — byte-identical, kept for the CI
-    /// `cmp` gate).
+    /// being stepped cycle by cycle, with byte-identical results. This is
+    /// the system's one run loop: a plain `while` over the same quantum
+    /// advance a [`Cluster`](crate::Cluster) dispatches. The event
+    /// [`Kernel`](crate::Kernel) only schedules several systems inside a
+    /// cluster.
     pub fn run_until_mt(&mut self, target: u64, max_cycles: u64) -> u64 {
         let start_cycles = self.cycle;
         let start_committed = self.mt.committed(0);
-        if self.event_kernel {
-            let cap = start_cycles.saturating_add(max_cycles);
-            let mut kernel = Kernel::new();
-            let me = kernel.add_actor();
-            kernel.schedule(me, self.cycle);
-            let mut last_probe = u64::MAX;
-            let mut guard_last = self.cycle;
-            while let Some((_, actor)) = kernel.pop() {
-                debug_assert_eq!(actor, me);
-                if crate::guard::tick_since(self.cycle, &mut guard_last) {
-                    break;
-                }
-                if self.mt.committed(0) - start_committed >= target
-                    || self.mt_halted()
-                    || self.cycle - start_cycles >= max_cycles
-                {
-                    break;
-                }
-                let next = self.advance_once(cap, &mut last_probe);
-                kernel.schedule(me, next);
-            }
-            return self.cycle - start_cycles;
-        }
-        // Legacy lockstep loop (R3DLA_EVENT_KERNEL=0).
+        let cap = start_cycles.saturating_add(max_cycles);
         let mut last_probe = u64::MAX;
         let mut guard_last = self.cycle;
-        while self.mt.committed(0) - start_committed < target
+        while !crate::guard::tick_since(self.cycle, &mut guard_last)
+            && self.mt.committed(0) - start_committed < target
             && !self.mt_halted()
             && self.cycle - start_cycles < max_cycles
         {
-            if crate::guard::tick_since(self.cycle, &mut guard_last) {
-                break;
-            }
-            if self.fast_forward {
-                let probe = self.mt.activity_probe() + self.lt.activity_probe();
-                if probe == last_probe {
-                    let limit = max_cycles - (self.cycle - start_cycles);
-                    let (n, lt_active) = self.skip_window(limit);
-                    if n > 0 {
-                        self.do_skip(n, lt_active);
-                        continue;
-                    }
-                }
-                last_probe = probe;
-            }
-            self.step();
+            self.advance_once(cap, &mut last_probe);
         }
         self.cycle - start_cycles
     }
@@ -1117,15 +1075,13 @@ pub fn measure_window<S: MeasureTarget + ?Sized>(sys: &mut S, warm: u64, win: u6
 /// measurement interface — the paper's BL / BL(noPF) / FC configurations.
 pub struct SingleCoreSim {
     core: Core,
-    cycle: u64,
     fast_forward: bool,
-    event_kernel: bool,
 }
 
 impl std::fmt::Debug for SingleCoreSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SingleCoreSim")
-            .field("cycle", &self.cycle)
+            .field("cycle", &self.core.cycle())
             .finish()
     }
 }
@@ -1205,9 +1161,7 @@ impl SingleCoreSim {
         );
         Self {
             core,
-            cycle: 0,
             fast_forward: true,
-            event_kernel: event_kernel_default(),
         }
     }
 
@@ -1218,12 +1172,9 @@ impl SingleCoreSim {
         self.fast_forward = on;
     }
 
-    /// Selects the event-kernel run loop (default per
-    /// [`event_kernel_default`](crate::event_kernel_default)); the legacy
-    /// polling loop under `R3DLA_EVENT_KERNEL=0` is byte-identical.
-    pub fn set_event_kernel(&mut self, on: bool) {
-        self.event_kernel = on;
-    }
+    // Inert shim: only the frozen perfbench harness calls it; a later benchmark change removes it.
+    #[doc(hidden)]
+    pub fn set_event_kernel(&mut self, _on: bool) {}
 
     /// The core (counters, stats).
     pub fn core(&self) -> &Core {
@@ -1235,67 +1186,35 @@ impl SingleCoreSim {
         &mut self.core
     }
 
-    /// One scheduler quantum — the event-source surface the kernel loop
-    /// dispatches: defers to [`Core::advance_quantum`] (step or
-    /// proven-quiescent skip) and returns the core's next wakeup.
+    /// One scheduler quantum: a single step, or (with fast-forwarding
+    /// on) [`Core::step_or_skip`]. Returns the core's next wakeup.
     fn advance_once(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
         if self.fast_forward {
-            self.cycle = self.core.advance_quantum(cap, last_probe);
+            self.core.step_or_skip(cap, last_probe)
         } else {
             self.core.step();
-            self.cycle = self.core.cycle();
+            self.core.cycle()
         }
-        self.cycle
     }
 
     /// Runs until `target` more instructions commit, the program halts,
-    /// or `max_cycles` pass; returns elapsed cycles. A thin driver
-    /// pumping a single-actor [`Kernel`](crate::Kernel) (legacy polling
-    /// loop under `R3DLA_EVENT_KERNEL=0`; byte-identical).
+    /// or `max_cycles` pass; returns elapsed cycles. Like
+    /// [`DlaSystem::run_until_mt`], this is one plain loop over the
+    /// quantum advance; only a [`Cluster`](crate::Cluster) pumps a
+    /// [`Kernel`](crate::Kernel).
     pub fn run_until(&mut self, target: u64, max_cycles: u64) -> u64 {
         let start_cycles = self.core.cycle();
         let start_committed = self.core.committed(0);
         let cap = start_cycles.saturating_add(max_cycles);
-        if self.event_kernel {
-            let mut kernel = Kernel::new();
-            let me = kernel.add_actor();
-            kernel.schedule(me, self.core.cycle());
-            let mut last_probe = u64::MAX;
-            let mut guard_last = self.core.cycle();
-            while let Some((_, actor)) = kernel.pop() {
-                debug_assert_eq!(actor, me);
-                if crate::guard::tick_since(self.core.cycle(), &mut guard_last) {
-                    break;
-                }
-                if self.core.committed(0) - start_committed >= target
-                    || self.core.halted()
-                    || self.core.cycle() - start_cycles >= max_cycles
-                {
-                    break;
-                }
-                let next = self.advance_once(cap, &mut last_probe);
-                kernel.schedule(me, next);
-            }
-            self.cycle = self.core.cycle();
-            return self.core.cycle() - start_cycles;
-        }
-        // Legacy polling loop (R3DLA_EVENT_KERNEL=0).
         let mut last_probe = u64::MAX;
-        let mut guard_last = self.core.cycle();
-        while self.core.committed(0) - start_committed < target
+        let mut guard_last = start_cycles;
+        while !crate::guard::tick_since(self.core.cycle(), &mut guard_last)
+            && self.core.committed(0) - start_committed < target
             && !self.core.halted()
             && self.core.cycle() - start_cycles < max_cycles
         {
-            if crate::guard::tick_since(self.core.cycle(), &mut guard_last) {
-                break;
-            }
-            if self.fast_forward {
-                self.core.step_or_skip(cap, &mut last_probe);
-            } else {
-                self.core.step();
-            }
+            self.advance_once(cap, &mut last_probe);
         }
-        self.cycle = self.core.cycle();
         self.core.cycle() - start_cycles
     }
 

@@ -114,6 +114,7 @@ fn main() {
         spec.sample.label()
     );
 
+    let out = arg_str("--out");
     let session = r3dla_obs::Session::from_env();
     if arg_flag("--progress") {
         // Planned cell count: every candidate plus the bl baseline, k
@@ -124,7 +125,6 @@ fn main() {
     }
     let result = run_dse(&spec, &cache, threads);
     let json = r3dla_dse::to_json(&result);
-    let out = arg_str("--out");
     match &out {
         Some(path) => {
             std::fs::write(path, &json).unwrap_or_else(|e| {

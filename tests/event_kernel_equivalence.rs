@@ -1,54 +1,52 @@
-//! Event-kernel equivalence suite: the discrete-event run loop must be
-//! byte-identical to the legacy lockstep loop in every reported
-//! statistic.
+//! Event-kernel equivalence suite: the discrete-event kernel must be
+//! byte-identical to the plain run loop in every reported statistic.
 //!
-//! For every workload in the suite at `Scale::Tiny`, each configuration
-//! is measured twice — once pumped by the event kernel, once by the
-//! legacy loop (`R3DLA_EVENT_KERNEL=0` path) — and the deterministic
-//! `BENCH_*.json` cell row is compared verbatim. The loops are pinned
-//! per instance (not via the environment) because the test harness runs
-//! in parallel.
+//! A single system has one run loop, a plain `while` over its quantum
+//! advance; the `Kernel` serves `Cluster`. For each cell at
+//! `Scale::Tiny`, the plain loop (cycle skipping on) is the reference,
+//! and a one-tenant [`Cluster`] pumping the kernel through
+//! `measure_each` must match it. The deterministic `BENCH_*.json` cell
+//! row is compared verbatim. `skip_equivalence.rs` checks the same
+//! reference row against the loop with skipping off.
 //!
 //! A second group checks the multi-tenant [`Cluster`]: two systems over
 //! one shared LLC/DRAM, run twice from scratch, must produce identical
 //! per-tenant reports with both tenants committing work.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use r3dla_bench::runner::{run_cell_mode, CellResult, ConfigSpec};
+use common::{cell_row, reference_row, WARM, WIN};
+use r3dla_bench::runner::{CellKind, ConfigSpec};
 use r3dla_bench::{parallel_map, Prepared};
-use r3dla_core::{Cluster, DlaConfig, WindowReport};
-use r3dla_mem::SharedLlc;
+use r3dla_core::{Cluster, DlaConfig, KernelActor, MeasureTarget, SingleCoreSim, WindowReport};
+use r3dla_mem::{MemConfig, SharedLlc};
 use r3dla_workloads::{suite, Scale};
 
-fn cell_row(p: &Prepared, config: &str, report: WindowReport) -> String {
-    CellResult {
-        workload: p.name.clone(),
-        suite: p.suite,
-        config: config.to_string(),
-        report,
-        wall_ms: 0,
-        status: r3dla_bench::CellStatus::Ok,
-        attempts: 1,
-        error: None,
-    }
-    .stat_fields()
+/// Measures `sys` as the only tenant of a kernel-pumped cluster.
+fn one_tenant<T: KernelActor + MeasureTarget>(sys: T) -> WindowReport {
+    let mut cluster = Cluster::new();
+    cluster.push(sys);
+    cluster.measure_each(WARM, WIN).remove(0)
 }
 
-fn assert_loops_equivalent(p: &Prepared, spec: &ConfigSpec, warm: u64, win: u64) {
-    let kernel = run_cell_mode(p, spec, warm, win, true, true);
-    let legacy = run_cell_mode(p, spec, warm, win, true, false);
-    assert!(
-        kernel.mt_committed > 0,
-        "({}, {}): cell committed nothing",
-        p.name,
-        spec.label,
-    );
+fn assert_cell_equivalent(p: &Prepared, spec: &ConfigSpec) {
+    let clustered = match &spec.kind {
+        CellKind::Dla(cfg) => one_tenant(p.dla_system(cfg.clone())),
+        CellKind::Single { core, l1pf, l2pf } => one_tenant(SingleCoreSim::build(
+            p.built(),
+            core.clone(),
+            MemConfig::paper(),
+            *l1pf,
+            *l2pf,
+        )),
+    };
     assert_eq!(
-        cell_row(p, &spec.label, kernel),
-        cell_row(p, &spec.label, legacy),
-        "({}, {}): the event kernel changed the report",
+        reference_row(p, spec),
+        cell_row(p, &spec.label, clustered),
+        "({}, {}): the one-tenant cluster changed the report",
         p.name,
         spec.label,
     );
@@ -58,14 +56,15 @@ fn assert_loops_equivalent(p: &Prepared, spec: &ConfigSpec, warm: u64, win: u64)
 /// plain DLA system and the full R3 system.
 #[test]
 fn every_workload_is_loop_equivalent_under_bl_dla_and_r3() {
-    let workloads = suite();
-    let prepared = parallel_map(&workloads, 1, |w| Prepared::new(w, Scale::Tiny));
-    for config in ["bl", "dla", "r3"] {
-        let spec = ConfigSpec::by_name(config).unwrap();
-        for p in &prepared {
-            assert_loops_equivalent(p, &spec, 1_000, 4_000);
-        }
-    }
+    let prepared = parallel_map(&suite(), 2, |w| Prepared::new(w, Scale::Tiny));
+    let cells: Vec<(&Prepared, ConfigSpec)> = ["bl", "dla", "r3"]
+        .into_iter()
+        .flat_map(|c| {
+            let spec = ConfigSpec::by_name(c).unwrap();
+            prepared.iter().map(move |p| (p, spec.clone()))
+        })
+        .collect();
+    parallel_map(&cells, 2, |(p, spec)| assert_cell_equivalent(p, spec));
 }
 
 /// Two tenants over one shared LLC/DRAM: the cluster must be

@@ -1,47 +1,26 @@
 //! Cycle-skipping equivalence suite: the event-driven fast path must be
 //! invisible in every reported statistic.
 //!
-//! For every workload in the suite at `Scale::Tiny`, the runner's cell
-//! measurement is executed twice — cycle-by-cycle and with event-driven
-//! fast-forwarding — and the resulting reports must be identical. The
-//! deterministic `BENCH_*.json` cell row is compared verbatim, so any
-//! divergence in cycles, commits, DRAM traffic, cache statistics or
-//! reboot counts fails the suite.
+//! A single system has one run loop, a plain `while` over its quantum
+//! advance. For each cell at `Scale::Tiny`, that loop is run with
+//! event-driven cycle skipping on and off, and the deterministic
+//! `BENCH_*.json` cell rows must be identical. Any divergence in cycles,
+//! commits, DRAM traffic, cache statistics or reboot counts fails the
+//! suite. `event_kernel_equivalence.rs` checks the same reference row
+//! against the discrete-event kernel.
 
-use r3dla_bench::runner::{run_cell, CellResult, ConfigSpec};
+mod common;
+
+use common::{cell_row, reference_row, WARM, WIN};
+use r3dla_bench::runner::ConfigSpec;
 use r3dla_bench::{parallel_map, Prepared};
-use r3dla_core::WindowReport;
 use r3dla_workloads::{suite, Scale};
 
-/// The runner's deterministic per-cell JSON row — the very formatter
-/// `GridResult::to_json` uses, so this comparison is verbatim against
-/// the real `BENCH_*.json` schema by construction.
-fn cell_row(p: &Prepared, config: &str, report: WindowReport) -> String {
-    CellResult {
-        workload: p.name.clone(),
-        suite: p.suite,
-        config: config.to_string(),
-        report,
-        wall_ms: 0,
-        status: r3dla_bench::CellStatus::Ok,
-        attempts: 1,
-        error: None,
-    }
-    .stat_fields()
-}
-
-fn assert_cell_equivalent(p: &Prepared, spec: &ConfigSpec, warm: u64, win: u64) {
-    let fast = run_cell(p, spec, warm, win, true);
-    let slow = run_cell(p, spec, warm, win, false);
-    assert!(
-        fast.mt_committed > 0,
-        "({}, {}): cell committed nothing",
-        p.name,
-        spec.label,
-    );
+fn assert_cell_equivalent(p: &Prepared, spec: &ConfigSpec) {
+    let stepped = p.measure(&spec.kind, WARM, WIN, false);
     assert_eq!(
-        cell_row(p, &spec.label, fast),
-        cell_row(p, &spec.label, slow),
+        reference_row(p, spec),
+        cell_row(p, &spec.label, stepped),
         "({}, {}): cycle skipping changed the report",
         p.name,
         spec.label,
@@ -51,12 +30,9 @@ fn assert_cell_equivalent(p: &Prepared, spec: &ConfigSpec, warm: u64, win: u64) 
 /// Every workload in the suite, under the two-core DLA system.
 #[test]
 fn every_workload_is_skip_equivalent_under_dla() {
-    let workloads = suite();
-    let prepared = parallel_map(&workloads, 1, |w| Prepared::new(w, Scale::Tiny));
+    let prepared = parallel_map(&suite(), 2, |w| Prepared::new(w, Scale::Tiny));
     let dla = ConfigSpec::by_name("dla").unwrap();
-    for p in &prepared {
-        assert_cell_equivalent(p, &dla, 1_000, 4_000);
-    }
+    parallel_map(&prepared, 2, |p| assert_cell_equivalent(p, &dla));
 }
 
 /// A representative subset (memory-bound, branchy, FP, graph) under the
@@ -70,11 +46,13 @@ fn representative_workloads_are_skip_equivalent_under_bl_and_r3() {
         .filter(|w| names.contains(&w.name))
         .collect();
     assert_eq!(workloads.len(), names.len(), "subset names must all exist");
-    let prepared = parallel_map(&workloads, 1, |w| Prepared::new(w, Scale::Tiny));
-    for config in ["bl", "r3"] {
-        let spec = ConfigSpec::by_name(config).unwrap();
-        for p in &prepared {
-            assert_cell_equivalent(p, &spec, 1_000, 4_000);
-        }
-    }
+    let prepared = parallel_map(&workloads, 2, |w| Prepared::new(w, Scale::Tiny));
+    let cells: Vec<(&Prepared, ConfigSpec)> = ["bl", "r3"]
+        .into_iter()
+        .flat_map(|c| {
+            let spec = ConfigSpec::by_name(c).unwrap();
+            prepared.iter().map(move |p| (p, spec.clone()))
+        })
+        .collect();
+    parallel_map(&cells, 2, |(p, spec)| assert_cell_equivalent(p, spec));
 }
