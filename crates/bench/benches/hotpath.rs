@@ -1,9 +1,11 @@
 //! Microbenchmarks pinning the simulator's hot paths: `VecMem`
 //! functional memory, `Core::step` on a single core, a full `DlaSystem`
 //! kernel — with and without event-driven cycle skipping, so the fast
-//! path's speedup is a number, not a vibe — and the sampled-simulation
-//! functional emulator, so fast-forward throughput regressions are
-//! pinned the same way. The `obs` groups pin the telemetry layer's
+//! path's speedup is a number, not a vibe — the `prepare` group's
+//! profiling training run (`profile_timing` on `libq_like`, one of the
+//! longest tiny ones; the training run is most of `Prepared::new`),
+//! and the sampled-simulation functional emulator, so fast-forward
+//! throughput regressions are pinned the same way. The `obs` groups pin the telemetry layer's
 //! cost model: per-probe prices armed and disarmed, and disabled
 //! probes against the `Core::step` loop (must be in the noise).
 //!
@@ -17,7 +19,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use r3dla_bench::{CellKind, Prepared};
-use r3dla_core::{DlaConfig, Kernel, SingleCoreSim};
+use r3dla_core::{profile_functional, profile_timing, DlaConfig, Kernel, SingleCoreSim};
 use r3dla_cpu::CoreConfig;
 use r3dla_isa::{DataMem, VecMem};
 use r3dla_mem::MemConfig;
@@ -91,6 +93,25 @@ fn bench_core_step(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+fn bench_prepare(c: &mut Criterion) {
+    // The training run exactly as `Prepared::new` calls it through
+    // `profile`: the functional profile is computed once outside the
+    // timed loop, so only the detailed core's run is priced.
+    let max_insts = DlaConfig::dla().profile_insts;
+    let prog = Rc::new(by_name("libq_like").unwrap().build(Scale::Tiny).program);
+    let functional = profile_functional(&prog, max_insts);
+    let mut g = c.benchmark_group("prepare");
+    g.sample_size(10);
+    g.bench_function("profile_timing_libq", |b| {
+        b.iter(|| {
+            let mut data = functional.clone();
+            profile_timing(&prog, &mut data, (max_insts / 4).max(20_000));
+            black_box(data.avg_d2e.len())
+        })
+    });
     g.finish();
 }
 
@@ -337,6 +358,7 @@ criterion_group!(
     benches,
     bench_vecmem,
     bench_core_step,
+    bench_prepare,
     bench_dla_system,
     bench_kernel,
     bench_emulator,

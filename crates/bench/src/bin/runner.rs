@@ -9,6 +9,8 @@
 //!        [--sample k:U:W] [--check-against FILE] [--check-tolerance T]
 //! ```
 //!
+//! `--help` (or `-h`) prints that usage block and exits.
+//!
 //! Telemetry (stderr/sidecar only, never the report): `--progress`
 //! prints a live done/total line; `R3DLA_TRACE=path` records a Chrome
 //! trace; `R3DLA_TELEMETRY=1` writes a `*.telemetry.json` sidecar next
@@ -41,7 +43,19 @@ use r3dla_bench::{arg_f64, arg_flag, arg_str, arg_threads, arg_u64, FaultPlan, W
 use r3dla_sample::SampleSpec;
 use r3dla_workloads::{by_name, suite, Scale, Workload};
 
+/// The usage block of the module doc, printed by `--help`.
+const USAGE: &str = "\
+runner [--scale tiny|train|ref] [--threads N] [--warm N] [--window N]
+       [--workloads a,b,c] [--configs bl,dla,r3,...] [--out FILE]
+       [--timing] [--timing-out FILE] [--no-skip]
+       [--filter W[/C]] [--list] [--progress]
+       [--sample k:U:W] [--check-against FILE] [--check-tolerance T]";
+
 fn main() {
+    if arg_flag("--help") || arg_flag("-h") {
+        println!("{USAGE}");
+        return;
+    }
     if arg_flag("--list") {
         println!("workloads:");
         for w in suite() {

@@ -39,7 +39,7 @@ enum Stage {
     Done,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct RobEntry {
     seq: u64,
     pc: u64,
@@ -54,7 +54,7 @@ struct RobEntry {
     actual_taken: Option<bool>,
     actual_next_pc: u64,
     dir_snapshot: u64,
-    ras_snapshot: RasState,
+    ras_snapshot: Rc<RasState>,
     // Value-reuse alignment context (tag of the governing conditional
     // branch and distance from it).
     branch_tag: u64,
@@ -70,13 +70,17 @@ struct RobEntry {
     // Results & stats.
     result: Option<u64>,
     dispatch_cycle: u64,
-    resolved: bool,
 }
 
+/// An issue-queue slot. It repeats the two ROB fields readiness depends
+/// on (both fixed at rename), so a waiting entry is rejected without
+/// touching the ROB.
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     thread: usize,
     seq: u64,
+    src: [Option<u16>; 2],
+    dispatch_cycle: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -85,7 +89,7 @@ struct FetchedInst {
     inst: Inst,
     pred_next_pc: u64,
     dir_snapshot: u64,
-    ras_snapshot: RasState,
+    ras_snapshot: Rc<RasState>,
     decode_ready: u64,
     branch_tag: u64,
     branch_offset: u32,
@@ -114,14 +118,21 @@ struct Thread {
     // Front end.
     fetch_pc: u64,
     fetch_stall_until: u64,
-    fetch_buffer: VecDeque<FetchedInst>,
-    /// Decode/rename pipeline registers: instructions drained from the
-    /// fetch buffer spend `frontend_depth` cycles here, modelling the
-    /// 20-stage pipe without consuming fetch-buffer capacity.
-    decode_pipe: VecDeque<FetchedInst>,
+    /// Fetched, not yet renamed instructions, oldest first. The first
+    /// `decoding` are the decode/rename pipeline registers: drained
+    /// from the fetch buffer, they spend `frontend_depth` cycles there,
+    /// modelling the 20-stage pipe without consuming fetch-buffer
+    /// capacity. The rest are the fetch buffer. Draining moves the
+    /// boundary, not the instruction.
+    front_end: VecDeque<FetchedInst>,
+    decoding: usize,
     dir: Box<dyn FetchDirection>,
     btb: Btb,
     ras: Ras,
+    /// `ras` as a shared snapshot, built on first use and dropped at
+    /// every RAS change: all instructions fetched between two changes
+    /// point at one copy instead of each carrying the whole stack.
+    ras_snap: Option<Rc<RasState>>,
     filter: Option<Rc<RefCell<dyn FetchFilter>>>,
     // Value-reuse alignment: tag of the last fetched conditional branch
     // and the distance of the fetch cursor from it.
@@ -137,6 +148,9 @@ struct Thread {
     rob_head_seq: u64,
     next_seq: u64,
     store_queue: VecDeque<u64>, // seqs of in-flight stores, oldest first
+    /// Issued, unresolved instructions as `(seq, exec_done)`, in no
+    /// particular order: writeback scans these instead of the ROB.
+    executing: Vec<(u64, u64)>,
 
     // Architectural state.
     arch_regs: [u64; Reg::COUNT],
@@ -158,6 +172,53 @@ impl std::fmt::Debug for Thread {
             .field("committed", &self.stats.committed)
             .field("halted", &self.halted)
             .finish_non_exhaustive()
+    }
+}
+
+impl Thread {
+    /// Instructions in the fetch buffer.
+    fn fetch_buffered(&self) -> usize {
+        self.front_end.len() - self.decoding
+    }
+
+    /// The oldest instruction in the decode pipe.
+    fn decode_head(&self) -> Option<&FetchedInst> {
+        self.front_end.front().filter(|_| self.decoding > 0)
+    }
+
+    fn clear_front_end(&mut self) {
+        self.front_end.clear();
+        self.decoding = 0;
+    }
+
+    /// The current RAS state, shared with every other instruction
+    /// fetched since the last RAS change.
+    fn ras_snapshot(&mut self) -> Rc<RasState> {
+        Rc::clone(
+            self.ras_snap
+                .get_or_insert_with(|| Rc::new(self.ras.snapshot())),
+        )
+    }
+
+    fn ras_push(&mut self, addr: u64) {
+        self.ras.push(addr);
+        self.ras_snap = None;
+    }
+
+    fn ras_pop(&mut self) -> Option<u64> {
+        self.ras_snap = None;
+        self.ras.pop()
+    }
+
+    /// Restores the RAS to `snap`, which then is the current snapshot.
+    fn ras_restore(&mut self, snap: Rc<RasState>) {
+        self.ras.restore(*snap);
+        self.ras_snap = Some(snap);
+    }
+
+    fn ras_reset(&mut self) {
+        self.ras = Ras::new();
+        self.ras_snap = None;
     }
 }
 
@@ -233,11 +294,12 @@ impl Core {
         self.threads.push(Thread {
             fetch_pc: entry,
             fetch_stall_until: 0,
-            fetch_buffer: VecDeque::with_capacity(self.cfg.fetch_buffer),
-            decode_pipe: VecDeque::new(),
+            front_end: VecDeque::with_capacity(self.cfg.fetch_buffer + self.decode_pipe_cap()),
+            decoding: 0,
             dir,
             btb: Btb::new(BtbConfig::paper()),
             ras: Ras::new(),
+            ras_snap: None,
             filter: None,
             last_branch_tag: 0,
             cursor_offset: 0,
@@ -249,6 +311,7 @@ impl Core {
             rob_head_seq: 0,
             next_seq: 0,
             store_queue: VecDeque::new(),
+            executing: Vec::new(),
             arch_regs: regs,
             arch_pc: entry,
             mem,
@@ -380,7 +443,7 @@ impl Core {
         self.stage_rename();
         self.stage_fetch();
         for t in &mut self.threads {
-            t.stats.fetch_occupancy.record(t.fetch_buffer.len() as u64);
+            t.stats.fetch_occupancy.record(t.fetch_buffered() as u64);
         }
         self.cycle += 1;
     }
@@ -452,7 +515,7 @@ impl Core {
     /// per-cycle occupancy samples, which [`Core::skip_to`] replays in
     /// bulk. The bound aggregates, per thread, the fetch-stall expiry,
     /// the decode-pipe head's ready cycle, the commit head's completion,
-    /// every in-flight instruction's `exec_done`, and each issue-queue
+    /// every executing instruction's `exec_done`, and each issue-queue
     /// entry's earliest source-ready cycle (for loads, also the earliest
     /// resolve of a blocking older store).
     ///
@@ -465,14 +528,14 @@ impl Core {
     pub fn next_event_at(&self) -> Option<u64> {
         let now = self.cycle;
         let mut wake = u64::MAX;
-        let pipe_cap = self.cfg.decode_width * self.cfg.frontend_depth as usize + 1;
+        let pipe_cap = self.decode_pipe_cap();
         for t in &self.threads {
             // Fetch buffer → decode pipe drain possible this cycle?
-            if !t.fetch_buffer.is_empty() && t.decode_pipe.len() < pipe_cap {
+            if t.fetch_buffered() > 0 && t.decoding < pipe_cap {
                 return None;
             }
             // Rename.
-            if let Some(f) = t.decode_pipe.front() {
+            if let Some(f) = t.decode_head() {
                 if f.decode_ready > now {
                     wake = wake.min(f.decode_ready);
                 } else if self.iq.len() < self.cfg.iq_size
@@ -489,7 +552,7 @@ impl Core {
             if !t.halted && !t.halted_fetch {
                 if t.fetch_stall_until > now {
                     wake = wake.min(t.fetch_stall_until);
-                } else if t.fetch_buffer.len() < self.cfg.fetch_buffer {
+                } else if t.fetch_buffered() < self.cfg.fetch_buffer {
                     match self.program.fetch(t.fetch_pc) {
                         // Direction-starved: quiescent with no intrinsic
                         // wake (see above).
@@ -512,29 +575,23 @@ impl Core {
                 }
             }
             // Writeback: issued, unresolved entries complete at exec_done.
-            for e in &t.rob {
-                if e.stage == Stage::Issued && !e.resolved {
-                    if e.exec_done <= now {
-                        return None;
-                    }
-                    wake = wake.min(e.exec_done);
+            for &(_, done) in &t.executing {
+                if done <= now {
+                    return None;
                 }
+                wake = wake.min(done);
             }
         }
         // Issue: earliest cycle any queued entry could become ready.
         for q in &self.iq {
-            let Some(idx) = self.entry_index(q.thread, q.seq) else {
-                return None; // stale entry: compacting it away is an event
-            };
-            let t = &self.threads[q.thread];
-            let e = &t.rob[idx];
-            let mut ready = Self::entry_ready_bound(&self.prf, e);
+            let mut ready = Self::ready_bound(&self.prf, q.dispatch_cycle, &q.src);
             // A load also waits for older stores with unresolved
             // addresses. Skeleton-filtered threads may issue some loads
             // as prefetch payloads that bypass that check, so the
             // refinement applies only to unfiltered threads (for the
             // others the plain source bound is already a valid floor).
-            if e.inst.is_load() && t.filter.is_none() {
+            let t = &self.threads[q.thread];
+            if t.rob[self.queued_index(q)].inst.is_load() && t.filter.is_none() {
                 ready = ready.max(Self::load_block_bound(&self.prf, t, q.seq));
             }
             if ready <= now {
@@ -545,12 +602,13 @@ impl Core {
         Some(wake)
     }
 
-    /// Lower bound on the cycle at which `e` could issue: past its
-    /// dispatch cycle with every present source readable.
-    fn entry_ready_bound(prf: &Prf, e: &RobEntry) -> u64 {
-        let mut ready = e.dispatch_cycle + 1;
-        for src in e.src.iter().flatten() {
-            ready = ready.max(prf.ready_at(*src));
+    /// Lower bound on the cycle at which an instruction dispatched at
+    /// `dispatch_cycle` with sources `src` could issue: past its dispatch
+    /// cycle with every present source readable.
+    fn ready_bound(prf: &Prf, dispatch_cycle: u64, src: &[Option<u16>; 2]) -> u64 {
+        let mut ready = dispatch_cycle + 1;
+        for p in src.iter().flatten() {
+            ready = ready.max(prf.ready_at(*p));
         }
         ready
     }
@@ -567,7 +625,7 @@ impl Core {
             if se.addr.is_none() {
                 // The store resolves its address no earlier than it can
                 // issue.
-                return Self::entry_ready_bound(prf, se);
+                return Self::ready_bound(prf, se.dispatch_cycle, &se.src);
             }
         }
         0
@@ -601,7 +659,7 @@ impl Core {
         for t in &mut self.threads {
             t.stats
                 .fetch_occupancy
-                .record_n(t.fetch_buffer.len() as u64, n);
+                .record_n(t.fetch_buffered() as u64, n);
             t.stats.renamed_per_cycle.record_n(0, n);
             // Only a buffer-full thread reaches its per-cycle zero-fetch
             // sample; stalled, starved or halted threads return before
@@ -609,7 +667,7 @@ impl Core {
             if !t.halted
                 && !t.halted_fetch
                 && t.fetch_stall_until <= now
-                && t.fetch_buffer.len() >= fetch_cap
+                && t.fetch_buffered() >= fetch_cap
             {
                 t.stats.fetched_per_cycle.record_n(0, n);
             }
@@ -715,79 +773,71 @@ impl Core {
     fn stage_writeback(&mut self) {
         let cycle = self.cycle;
         for tid in 0..self.threads.len() {
-            let mut seq = self.threads[tid].rob_head_seq;
-            loop {
-                let t = &self.threads[tid];
-                let idx = (seq - t.rob_head_seq) as usize;
-                if idx >= t.rob.len() {
-                    break;
-                }
-                let needs_resolve = {
-                    let e = &t.rob[idx];
-                    e.stage == Stage::Issued && e.exec_done <= cycle && !e.resolved
-                };
-                let this_seq = seq;
-                seq += 1;
-                if !needs_resolve {
-                    continue;
-                }
-                if self.resolve_entry(tid, this_seq) {
-                    break; // squashed everything younger
-                }
+            // Completes every due instruction, oldest first. A squash
+            // drops the younger ones from `executing`, so the loop ends
+            // there, exactly where an in-order walk of the ROB would.
+            while let Some(pos) = Self::oldest_due(&self.threads[tid].executing, cycle) {
+                let (seq, _) = self.threads[tid].executing.swap_remove(pos);
+                self.resolve_entry(tid, seq);
             }
         }
     }
 
-    /// Completes one instruction; returns true if it squashed younger ones.
-    fn resolve_entry(&mut self, tid: usize, seq: u64) -> bool {
-        let e = {
-            let t = &mut self.threads[tid];
-            let idx = (seq - t.rob_head_seq) as usize;
-            let en = &mut t.rob[idx];
-            en.stage = Stage::Done;
-            en.resolved = true;
-            *en
-        };
+    /// Position in `executing` of the oldest instruction whose result is
+    /// due by `cycle`.
+    fn oldest_due(executing: &[(u64, u64)], cycle: u64) -> Option<usize> {
+        let mut oldest: Option<(usize, u64)> = None;
+        for (pos, &(seq, done)) in executing.iter().enumerate() {
+            if done <= cycle && oldest.is_none_or(|(_, s)| seq < s) {
+                oldest = Some((pos, seq));
+            }
+        }
+        oldest.map(|(pos, _)| pos)
+    }
+
+    /// Completes one instruction, squashing younger ones on a value or
+    /// branch mispredict.
+    fn resolve_entry(&mut self, tid: usize, seq: u64) {
+        let t = &mut self.threads[tid];
+        let en = &mut t.rob[(seq - t.rob_head_seq) as usize];
+        en.stage = Stage::Done;
+        let (inst, pc, vpred, result) = (en.inst, en.pc, en.vpred, en.result);
+        let (taken, actual_next, pred_next) = (en.actual_taken, en.actual_next_pc, en.pred_next_pc);
         // Value-prediction validation.
-        if let Some(pred) = e.vpred {
+        if let Some(pred) = vpred {
             self.counters.value_validations.inc();
-            let actual = e.result.unwrap_or(0);
-            let correct = actual == pred;
-            if let Some(src) = &self.threads[tid].value_source {
-                src.borrow_mut().on_outcome(e.pc, correct);
+            let correct = result.unwrap_or(0) == pred;
+            if let Some(src) = &t.value_source {
+                src.borrow_mut().on_outcome(pc, correct);
             }
             if !correct {
                 self.counters.value_mispredicts.inc();
                 // Replay: squash younger instructions (which consumed the
                 // bad value) and refetch after this instruction. The
                 // instruction itself keeps its correct result.
-                self.squash_younger(tid, seq, &e, false);
-                return true;
+                self.squash_younger(tid, seq);
+                return;
             }
         }
         // Branch resolution.
-        if e.inst.is_branch() {
-            let mispredicted = e.actual_next_pc != e.pred_next_pc;
-            if e.inst.is_cond_branch() {
-                let taken = e.actual_taken.unwrap_or(false);
-                self.threads[tid].dir.resolve(e.pc, taken, mispredicted);
+        if inst.is_branch() {
+            let mispredicted = actual_next != pred_next;
+            if inst.is_cond_branch() {
+                t.dir.resolve(pc, taken.unwrap_or(false), mispredicted);
             }
-            if e.actual_taken.unwrap_or(true) {
-                self.threads[tid].btb.update(e.pc, e.actual_next_pc);
+            if taken.unwrap_or(true) {
+                t.btb.update(pc, actual_next);
             }
             if mispredicted {
                 self.counters.branch_mispredicts.inc();
-                self.squash_younger(tid, seq, &e, true);
-                return true;
+                self.squash_younger(tid, seq);
             }
         }
-        false
     }
 
     /// Squashes all entries younger than `seq` and redirects fetch after
-    /// the squashing entry `e`. `was_branch_mispredict` selects the
-    /// front-end repair flavour.
-    fn squash_younger(&mut self, tid: usize, seq: u64, e: &RobEntry, was_branch_mispredict: bool) {
+    /// the squashing entry, which stays in the ROB.
+    fn squash_younger(&mut self, tid: usize, seq: u64) {
         let cycle = self.cycle;
         {
             let t = &mut self.threads[tid];
@@ -807,34 +857,38 @@ impl Core {
                 }
                 self.counters.squashed.inc();
             }
+            let e = t.rob.back().expect("the squashing entry stays");
+            debug_assert_eq!(e.seq, seq);
+            let (inst, pc, next_pc, taken) = (e.inst, e.pc, e.actual_next_pc, e.actual_taken);
+            let (dir_snapshot, branch_tag, branch_offset) =
+                (e.dir_snapshot, e.branch_tag, e.branch_offset);
+            let ras_snapshot = Rc::clone(&e.ras_snapshot);
+            t.executing.retain(|&(s, _)| s <= seq);
             t.next_seq = seq + 1;
-            t.fetch_buffer.clear();
-            t.decode_pipe.clear();
+            t.clear_front_end();
             t.validated = [false; Reg::COUNT];
             // Redirect fetch down the architecturally correct path.
-            t.fetch_pc = e.actual_next_pc;
+            t.fetch_pc = next_pc;
             t.fetch_stall_until = cycle + 1;
             t.halted_fetch = false;
-            // Repair speculative front-end state to just-after `e`.
-            t.dir.restore(e.dir_snapshot, e.actual_taken);
-            t.ras.restore(e.ras_snapshot);
+            // Repair speculative front-end state to just-after the
+            // squashing entry.
+            t.dir.restore(dir_snapshot, taken);
+            t.ras_restore(ras_snapshot);
             if matches!(
-                e.inst.branch_kind(),
+                inst.branch_kind(),
                 Some(BranchKind::Call | BranchKind::IndCall)
             ) {
-                t.ras.push(e.pc + INST_BYTES);
+                t.ras_push(pc + INST_BYTES);
             }
             // Restore the value-reuse alignment cursor.
-            if e.inst.is_cond_branch() {
-                t.last_branch_tag = e.branch_tag;
-                t.cursor_offset = 0;
-                t.next_local_tag = e.branch_tag + 1;
+            t.last_branch_tag = branch_tag;
+            t.cursor_offset = if inst.is_cond_branch() {
+                0
             } else {
-                t.last_branch_tag = e.branch_tag;
-                t.cursor_offset = e.branch_offset;
-                t.next_local_tag = e.branch_tag + 1;
-            }
-            let _ = was_branch_mispredict;
+                branch_offset
+            };
+            t.next_local_tag = branch_tag + 1;
         }
         self.iq.retain(|q| q.thread != tid || q.seq <= seq);
     }
@@ -853,9 +907,9 @@ impl Core {
         }
         t.rob_head_seq = t.next_seq;
         t.store_queue.clear();
-        t.fetch_buffer.clear();
-        t.decode_pipe.clear();
-        t.ras = Ras::new();
+        t.clear_front_end();
+        t.ras_reset();
+        t.executing.clear();
         t.validated = [false; Reg::COUNT];
         t.next_local_tag = 1;
         self.iq.retain(|q| q.thread != tid);
@@ -907,86 +961,102 @@ impl Core {
     }
 
     fn stage_issue(&mut self) {
-        // Single age-ordered pass with in-place compaction: issued and
-        // stale entries are dropped by not copying them forward, so one
-        // cycle costs O(iq) instead of O(iq²) `Vec::remove` shifts.
-        // Entries past the issue-width cutoff are copied through
-        // untouched, exactly as the shifting loop left them.
+        // Single age-ordered pass with in-place compaction: issued
+        // entries are dropped by not copying them forward, so one cycle
+        // costs O(iq) instead of O(iq²) `Vec::remove` shifts. Entries
+        // past the issue-width cutoff are copied through untouched,
+        // exactly as the shifting loop left them.
         let mut issued = 0usize;
         let mut kept = 0usize;
         for i in 0..self.iq.len() {
             let q = self.iq[i];
-            if issued < self.cfg.issue_width {
-                match self.try_issue(q.thread, q.seq) {
-                    IssueResult::Issued => {
-                        issued += 1;
-                        continue;
-                    }
-                    IssueResult::Gone => continue,
-                    IssueResult::NotReady => {}
-                }
+            if issued < self.cfg.issue_width && self.try_issue(q) {
+                issued += 1;
+                continue;
             }
-            self.iq[kept] = q;
+            if kept != i {
+                self.iq[kept] = q;
+            }
             kept += 1;
         }
         self.iq.truncate(kept);
     }
 
-    fn entry_index(&self, tid: usize, seq: u64) -> Option<usize> {
-        let t = &self.threads[tid];
-        if seq < t.rob_head_seq {
-            return None;
-        }
-        let idx = (seq - t.rob_head_seq) as usize;
-        (idx < t.rob.len() && t.rob[idx].seq == seq).then_some(idx)
+    /// The ROB slot of a queued instruction.
+    ///
+    /// The IQ never holds an entry whose ROB slot is gone, nor one that
+    /// has left `Stage::Dispatched`: rename enqueues an entry together
+    /// with its `Dispatched` ROB slot (skip-validation entries, born
+    /// `Done`, are never enqueued); issue dequeues it as it leaves
+    /// `Dispatched`; commit retires only `Done` entries; a squash pops
+    /// exactly the ROB entries younger than the squashing `seq` and
+    /// drops the same ones from the IQ; a reboot drops all of a
+    /// thread's entries from both. So readiness may be checked from the
+    /// IQ copy before the ROB is consulted.
+    fn queued_index(&self, q: &IqEntry) -> usize {
+        let t = &self.threads[q.thread];
+        let idx = (q.seq - t.rob_head_seq) as usize;
+        debug_assert!(
+            t.rob
+                .get(idx)
+                .is_some_and(|e| e.seq == q.seq && e.stage == Stage::Dispatched),
+            "IQ entry (thread {}, seq {}) without a live dispatched ROB slot",
+            q.thread,
+            q.seq
+        );
+        idx
     }
 
-    fn try_issue(&mut self, tid: usize, seq: u64) -> IssueResult {
+    /// Issues a queued instruction if it can go this cycle; returns
+    /// whether it did.
+    fn try_issue(&mut self, q: IqEntry) -> bool {
         let cycle = self.cycle;
-        let Some(idx) = self.entry_index(tid, seq) else {
-            return IssueResult::Gone;
+        if q.dispatch_cycle >= cycle
+            || q.src
+                .iter()
+                .flatten()
+                .any(|&p| !self.prf.is_ready(p, cycle))
+        {
+            return false;
+        }
+        let (tid, seq) = (q.thread, q.seq);
+        let idx = self.queued_index(&q);
+        let (inst, pc, dest_new, vpred) = {
+            let e = &self.threads[tid].rob[idx];
+            (e.inst, e.pc, e.dest_new, e.vpred)
         };
-        let e = self.threads[tid].rob[idx];
-        if e.stage != Stage::Dispatched || e.dispatch_cycle >= cycle {
-            return IssueResult::NotReady;
-        }
-        for src in e.src.iter().flatten() {
-            if !self.prf.is_ready(*src, cycle) {
-                return IssueResult::NotReady;
-            }
-        }
-        let class = e.inst.fu_class();
+        let class = inst.fu_class();
         if !self.fu_available(class) {
-            return IssueResult::NotReady;
+            return false;
         }
-        let prefetch_only = e.inst.is_load()
+        let prefetch_only = inst.is_load()
             && self.threads[tid]
                 .filter
                 .as_ref()
-                .map(|f| f.borrow_mut().prefetch_only(e.pc))
+                .map(|f| f.borrow_mut().prefetch_only(pc))
                 .unwrap_or(false);
-        if e.inst.is_load() && !prefetch_only && !self.load_may_issue(tid, seq) {
-            return IssueResult::NotReady;
+        if inst.is_load() && !prefetch_only && !self.load_may_issue(tid, seq) {
+            return false;
         }
-        let a = e.src[0].map(|p| self.prf.read(p)).unwrap_or(0);
-        let b = e.src[1].map(|p| self.prf.read(p)).unwrap_or(0);
+        let a = q.src[0].map(|p| self.prf.read(p)).unwrap_or(0);
+        let b = q.src[1].map(|p| self.prf.read(p)).unwrap_or(0);
         self.counters
             .rf_reads
-            .add(e.src.iter().flatten().count() as u64);
+            .add(q.src.iter().flatten().count() as u64);
         self.counters.executed.inc();
-        let seq_pc = e.pc + INST_BYTES;
+        let seq_pc = pc + INST_BYTES;
         let mut result: Option<u64> = None;
         let mut actual_taken: Option<bool> = None;
         let mut actual_next = seq_pc;
-        let mut exec_done = cycle + e.inst.latency();
+        let mut exec_done = cycle + inst.latency();
         let mut addr = None;
         let mut store_val = None;
         let mut flags = (false, false, false);
-        match e.inst.op {
+        match inst.op {
             Op::Ld => {
-                let a_addr = mem_addr(&e.inst, a);
+                let a_addr = mem_addr(&inst, a);
                 addr = Some(a_addr);
-                let (ready, value, fl) = self.execute_load(tid, seq, a_addr, e.pc);
+                let (ready, value, fl) = self.execute_load(tid, seq, a_addr, pc);
                 // Prefetch payloads (skeleton loads with dead results)
                 // touch the memory system but never stall the pipeline.
                 exec_done = if prefetch_only { cycle + 3 } else { ready };
@@ -994,49 +1064,49 @@ impl Core {
                 flags = fl;
             }
             Op::St => {
-                let a_addr = mem_addr(&e.inst, a);
+                let a_addr = mem_addr(&inst, a);
                 addr = Some(a_addr);
                 store_val = Some(b);
                 exec_done = cycle + 1;
             }
             Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
-                let mut taken = eval_cond(e.inst.op, a, b);
+                let mut taken = eval_cond(inst.op, a, b);
                 if let Some(ov) = &self.threads[tid].branch_override {
-                    if let Some(forced) = ov.borrow().force(e.pc) {
+                    if let Some(forced) = ov.borrow().force(pc) {
                         taken = forced;
                     }
                 }
                 actual_taken = Some(taken);
-                actual_next = if taken { e.inst.imm as u64 } else { seq_pc };
+                actual_next = if taken { inst.imm as u64 } else { seq_pc };
             }
             Op::Jal => {
-                actual_next = e.inst.imm as u64;
-                if e.inst.def().is_some() {
+                actual_next = inst.imm as u64;
+                if inst.def().is_some() {
                     result = Some(seq_pc);
                 }
             }
             Op::Jalr => {
-                actual_next = a.wrapping_add(e.inst.imm as u64) & !3;
-                if e.inst.def().is_some() {
+                actual_next = a.wrapping_add(inst.imm as u64) & !3;
+                if inst.def().is_some() {
                     result = Some(seq_pc);
                 }
             }
             Op::Nop | Op::Halt => {}
             _ => {
-                result = Some(eval_alu(e.inst.op, a, b, e.inst.imm));
+                result = Some(eval_alu(inst.op, a, b, inst.imm));
             }
         }
-        if e.inst.is_load() {
+        if inst.is_load() {
             self.counters.loads.inc();
-        } else if e.inst.is_store() {
+        } else if inst.is_store() {
             self.counters.stores.inc();
         }
         self.fu_consume(class, exec_done);
         // Write the PRF early; readiness gates visibility. For correctly
         // value-predicted instructions, keep the early availability the
         // prediction established (same value, earlier ready).
-        if let (Some(p), Some(v)) = (e.dest_new, result) {
-            match e.vpred {
+        if let (Some(p), Some(v)) = (dest_new, result) {
+            match vpred {
                 Some(pv) if pv == v => {} // prediction already in place
                 _ => {
                     self.prf.write(p, v, exec_done);
@@ -1045,6 +1115,7 @@ impl Core {
             }
         }
         let t = &mut self.threads[tid];
+        t.executing.push((seq, exec_done));
         let en = &mut t.rob[idx];
         en.stage = Stage::Issued;
         en.exec_done = exec_done;
@@ -1056,7 +1127,7 @@ impl Core {
         en.l1_miss = flags.0;
         en.l2_miss = flags.1;
         en.tlb_miss = flags.2;
-        IssueResult::Issued
+        true
     }
 
     fn load_may_issue(&self, tid: usize, seq: u64) -> bool {
@@ -1124,16 +1195,16 @@ impl Core {
         // proper), which imposes the front-end depth without consuming
         // fetch-buffer capacity.
         let cycle = self.cycle;
-        let pipe_cap = self.cfg.decode_width * self.cfg.frontend_depth as usize + 1;
+        let pipe_cap = self.decode_pipe_cap();
         let mut drain_budget = self.cfg.decode_width;
         for k in 0..nthreads {
             let tid = (cycle as usize + k) % nthreads;
             let depth = self.cfg.frontend_depth;
             let t = &mut self.threads[tid];
-            while drain_budget > 0 && t.decode_pipe.len() < pipe_cap && !t.fetch_buffer.is_empty() {
-                let mut f = t.fetch_buffer.pop_front().expect("nonempty");
-                f.decode_ready = cycle + depth;
-                t.decode_pipe.push_back(f);
+            while drain_budget > 0 && t.decoding < pipe_cap && t.fetch_buffered() > 0 {
+                let slot = t.decoding;
+                t.front_end[slot].decode_ready = cycle + depth;
+                t.decoding += 1;
                 drain_budget -= 1;
             }
         }
@@ -1143,22 +1214,26 @@ impl Core {
         let mut budget = self.cfg.decode_width;
         let mut iq_free = self.cfg.iq_size.saturating_sub(self.iq.len());
         let mut prf_free = self.prf.available();
-        let mut renamed_per_thread = vec![0u64; nthreads];
+        let mut absorbed = 0u64;
         for k in 0..nthreads {
             let tid = (self.cycle as usize + k) % nthreads;
+            let mut renamed = 0u64;
             while budget > 0 && self.rename_one(tid, &mut iq_free, &mut prf_free) {
                 budget -= 1;
-                renamed_per_thread[tid] += 1;
+                renamed += 1;
             }
+            self.threads[tid].stats.renamed_per_cycle.record(renamed);
+            absorbed += renamed;
         }
-        let absorbed: u64 = renamed_per_thread.iter().sum();
         if budget > 0 && self.backend_has_room() && self.threads.iter().any(|t| !t.halted) {
             self.counters.fetch_bubble_insts.add(budget as u64);
         }
-        for (tid, n) in renamed_per_thread.iter().enumerate() {
-            self.threads[tid].stats.renamed_per_cycle.record(*n);
-        }
         self.counters.decoded.add(absorbed);
+    }
+
+    /// Capacity of a thread's decode pipe.
+    fn decode_pipe_cap(&self) -> usize {
+        self.cfg.decode_width * self.cfg.frontend_depth as usize + 1
     }
 
     fn backend_has_room(&self) -> bool {
@@ -1176,7 +1251,7 @@ impl Core {
             if t.rob.len() >= self.cfg.rob_size {
                 return false;
             }
-            let Some(f) = t.decode_pipe.front() else {
+            let Some(f) = t.decode_head() else {
                 return false;
             };
             if f.decode_ready > cycle {
@@ -1186,18 +1261,16 @@ impl Core {
                 return false;
             }
         }
-        let f = self.threads[tid]
-            .decode_pipe
-            .pop_front()
-            .expect("presence checked");
+        let t = &mut self.threads[tid];
+        let f = t.front_end.pop_front().expect("presence checked");
+        t.decoding -= 1;
         // Value-prediction lookup (main-thread value reuse).
         let mut vpred = None;
-        if let Some(src) = &self.threads[tid].value_source {
+        if let Some(src) = &t.value_source {
             vpred = src
                 .borrow_mut()
                 .predict(f.pc, f.branch_tag, f.branch_offset);
         }
-        let t = &mut self.threads[tid];
         let seq = t.next_seq;
         t.next_seq += 1;
         let src = [
@@ -1241,7 +1314,7 @@ impl Core {
             t.validated[rd.index()] = vpred.is_some();
         }
         let is_store = f.inst.is_store();
-        let entry = RobEntry {
+        t.rob.push_back(RobEntry {
             seq,
             pc: f.pc,
             inst: f.inst,
@@ -1269,15 +1342,18 @@ impl Core {
             vpred: if skip_validation { None } else { vpred },
             result: vpred,
             dispatch_cycle: cycle,
-            resolved: skip_validation,
-        };
-        t.rob.push_back(entry);
+        });
         if is_store {
             t.store_queue.push_back(seq);
         }
         self.counters.rob_writes.inc();
         if !skip_validation {
-            self.iq.push(IqEntry { thread: tid, seq });
+            self.iq.push(IqEntry {
+                thread: tid,
+                seq,
+                src,
+                dispatch_cycle: cycle,
+            });
             *iq_free -= 1;
             self.counters.iq_writes.inc();
         }
@@ -1307,7 +1383,7 @@ impl Core {
         let max_slots = self.cfg.fetch_width * 2;
         let mut current_line = u64::MAX;
         while pushed < self.cfg.fetch_width && slots < max_slots {
-            if self.threads[tid].fetch_buffer.len() >= self.cfg.fetch_buffer {
+            if self.threads[tid].fetch_buffered() >= self.cfg.fetch_buffer {
                 break;
             }
             let pc = self.threads[tid].fetch_pc;
@@ -1368,7 +1444,7 @@ impl Core {
             }
             let t = &mut self.threads[tid];
             let dir_snapshot = t.dir.snapshot();
-            let ras_snapshot = t.ras.snapshot();
+            let ras_snapshot = t.ras_snapshot();
             match kind {
                 Some(BranchKind::Cond) => match t.dir.predict(pc) {
                     Some(taken) => {
@@ -1388,13 +1464,12 @@ impl Core {
                 }
                 Some(BranchKind::Call) => {
                     next_pc = inst.imm as u64;
-                    t.ras.push(pc + INST_BYTES);
+                    t.ras_push(pc + INST_BYTES);
                     is_taken_branch = true;
                 }
                 Some(BranchKind::Ret) => {
                     next_pc = t
-                        .ras
-                        .pop()
+                        .ras_pop()
                         .or_else(|| t.btb.predict(pc))
                         .unwrap_or(pc + INST_BYTES);
                     is_taken_branch = true;
@@ -1406,7 +1481,7 @@ impl Core {
                         .or_else(|| t.btb.predict(pc))
                         .unwrap_or(pc + INST_BYTES);
                     if matches!(kind, Some(BranchKind::IndCall)) {
-                        t.ras.push(pc + INST_BYTES);
+                        t.ras_push(pc + INST_BYTES);
                     }
                     is_taken_branch = true;
                 }
@@ -1428,7 +1503,7 @@ impl Core {
                 branch_tag = t.last_branch_tag;
                 branch_offset = t.cursor_offset;
             }
-            t.fetch_buffer.push_back(FetchedInst {
+            t.front_end.push_back(FetchedInst {
                 pc,
                 inst,
                 pred_next_pc: next_pc,
@@ -1454,11 +1529,4 @@ impl Core {
             .fetched_per_cycle
             .record(pushed as u64);
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IssueResult {
-    Issued,
-    NotReady,
-    Gone,
 }

@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use r3dla_bench::{
@@ -334,10 +334,33 @@ struct DedupState {
 
 /// Pools of prepared workloads and interval plans, shared across
 /// campaigns so a warm service admits repeat specs without re-profiling.
+/// Each entry is built once: a client asking for an entry another
+/// client is still building waits for that build instead of starting a
+/// duplicate, so the work a set of campaigns costs does not depend on
+/// how their submissions overlap.
 #[derive(Default)]
 struct Pools {
-    prepared: HashMap<(&'static str, Scale), Arc<Prepared>>,
-    intervals: HashMap<(&'static str, Scale, String), Arc<Vec<IntervalCheckpoint>>>,
+    prepared: HashMap<(&'static str, Scale), Slot<Prepared>>,
+    intervals: HashMap<(&'static str, Scale, String), Slot<Vec<IntervalCheckpoint>>>,
+}
+
+/// A pool entry, filled by the first client that asks for it.
+type Slot<T> = Arc<OnceLock<Arc<T>>>;
+
+/// The value in `map`'s slot for `key`, built by `build` unless another
+/// caller built it (or is building it: then this waits). The pool lock
+/// is held only to find the slot, never while building.
+fn pooled<K: std::hash::Hash + Eq, T>(
+    pools: &Mutex<Pools>,
+    map: impl FnOnce(&mut Pools) -> &mut HashMap<K, Slot<T>>,
+    key: K,
+    build: impl FnOnce() -> T,
+) -> Arc<T> {
+    let slot = {
+        let mut pools = pools.lock().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(map(&mut pools).entry(key).or_default())
+    };
+    Arc::clone(slot.get_or_init(|| Arc::new(build())))
 }
 
 struct Inner {
@@ -621,25 +644,11 @@ impl Inner {
         workloads
             .iter()
             .map(|w| {
-                if let Some(p) = self
-                    .pools
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .prepared
-                    .get(&(w.name, scale))
-                {
-                    return Arc::clone(p);
-                }
-                // Built outside the pool lock; a concurrent duplicate
-                // build wastes work but both results are identical, and
-                // first insert wins.
-                let built = Arc::new(Prepared::new(w, scale));
-                let mut pools = self.pools.lock().unwrap_or_else(|e| e.into_inner());
-                Arc::clone(
-                    pools
-                        .prepared
-                        .entry((w.name, scale))
-                        .or_insert_with(|| built),
+                pooled(
+                    &self.pools,
+                    |pools| &mut pools.prepared,
+                    (w.name, scale),
+                    || Prepared::new(w, scale),
                 )
             })
             .collect()
@@ -656,19 +665,12 @@ impl Inner {
             .iter()
             .zip(prepared)
             .map(|(w, p)| {
-                let key = (w.name, scale, sample.label());
-                if let Some(plan) = self
-                    .pools
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .intervals
-                    .get(&key)
-                {
-                    return Arc::clone(plan);
-                }
-                let built = Arc::new(r3dla_sample::plan_intervals(&p.program, sample));
-                let mut pools = self.pools.lock().unwrap_or_else(|e| e.into_inner());
-                Arc::clone(pools.intervals.entry(key).or_insert_with(|| built))
+                pooled(
+                    &self.pools,
+                    |pools| &mut pools.intervals,
+                    (w.name, scale, sample.label()),
+                    || r3dla_sample::plan_intervals(&p.program, sample),
+                )
             })
             .collect()
     }
@@ -910,5 +912,49 @@ fn worker_loop(inner: &Inner) {
             let _ = c.events.send(ServeEvent::Done { stats: c.stats });
             inner.idle_cv.notify_all();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+
+    #[test]
+    fn a_pool_entry_being_built_is_waited_for_not_rebuilt() {
+        let pools = Mutex::new(Pools::default());
+        let builds = AtomicUsize::new(0);
+        let building = Barrier::new(2);
+        let key = || ("md5_like", Scale::Tiny, "2:800:none".to_string());
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                pooled(
+                    &pools,
+                    |p| &mut p.intervals,
+                    key(),
+                    || {
+                        building.wait();
+                        builds.fetch_add(1, Ordering::SeqCst);
+                        Vec::new()
+                    },
+                )
+            });
+            // The first build is under way: this request must wait for
+            // it rather than build its own entry.
+            building.wait();
+            let second = pooled(
+                &pools,
+                |p| &mut p.intervals,
+                key(),
+                || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                },
+            );
+            (first.join().expect("first request"), second)
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert!(Arc::ptr_eq(&first, &second));
     }
 }
