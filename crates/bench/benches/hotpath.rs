@@ -1,6 +1,6 @@
 //! Microbenchmarks pinning the simulator's hot paths: `VecMem`
 //! functional memory, `Core::step` on a single core, a full `DlaSystem`
-//! kernel — with and without event-driven cycle skipping, so the fast
+//! — with and without event-driven cycle skipping, so the fast
 //! path's speedup is a number, not a vibe — the `prepare` group's
 //! profiling training run (`profile_timing` on `libq_like`, one of the
 //! longest tiny ones; the training run is most of `Prepared::new`),
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use r3dla_bench::{CellKind, Prepared};
-use r3dla_core::{profile_functional, profile_timing, DlaConfig, Kernel, SingleCoreSim};
+use r3dla_core::{profile_functional, profile_timing, DlaConfig, SingleCoreSim};
 use r3dla_cpu::CoreConfig;
 use r3dla_isa::{DataMem, VecMem};
 use r3dla_mem::MemConfig;
@@ -127,50 +127,6 @@ fn bench_dla_system(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-}
-
-fn bench_kernel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kernel");
-    g.sample_size(20);
-    // Raw scheduler churn: schedule + pop round trips through the
-    // calendar wheel, near-future (bucket append) and far-future
-    // (overflow list + rebase) alike.
-    g.bench_function("schedule_pop_near_100k", |b| {
-        b.iter(|| {
-            let mut k = Kernel::new();
-            let ids: Vec<_> = (0..4).map(|_| k.add_actor()).collect();
-            let mut dispatched = 0u64;
-            for round in 0..25_000u64 {
-                for (i, &id) in ids.iter().enumerate() {
-                    k.schedule(id, k.now() + 1 + (round + i as u64) % 7);
-                }
-                for _ in 0..ids.len() {
-                    let (t, _) = k.pop().unwrap();
-                    dispatched += t;
-                }
-            }
-            black_box(dispatched)
-        })
-    });
-    g.bench_function("schedule_pop_far_rebase_100k", |b| {
-        b.iter(|| {
-            let mut k = Kernel::new();
-            let a = k.add_actor();
-            let b2 = k.add_actor();
-            let mut dispatched = 0u64;
-            for round in 0..50_000u64 {
-                // One near, one several wheel-horizons out: every few
-                // rounds the wheel drains and rebases onto the far list.
-                k.schedule(a, k.now() + 3);
-                k.schedule(b2, k.now() + 2_000 + round % 11);
-                let (t1, _) = k.pop().unwrap();
-                let (t2, _) = k.pop().unwrap();
-                dispatched += t1 + t2;
-            }
-            black_box(dispatched)
-        })
-    });
     g.finish();
 }
 
@@ -360,7 +316,6 @@ criterion_group!(
     bench_core_step,
     bench_prepare,
     bench_dla_system,
-    bench_kernel,
     bench_emulator,
     bench_obs
 );

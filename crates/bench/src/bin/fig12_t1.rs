@@ -33,11 +33,17 @@ fn main() {
                 c.t1 = true;
                 run(c)
             };
+            // A workload without DRAM traffic has no traffic ratio
+            // (0/0): NaN prints `n/a` and stays out of the geomeans.
+            let traffic = |r: &r3dla_core::WindowReport| match base.dram_traffic {
+                0 => f64::NAN,
+                b => r.dram_traffic as f64 / b as f64,
+            };
             vec![
                 stride.mt_ipc / base.mt_ipc.max(1e-9),
                 t1.mt_ipc / base.mt_ipc.max(1e-9),
-                stride.dram_traffic as f64 / base.dram_traffic.max(1) as f64,
-                t1.dram_traffic as f64 / base.dram_traffic.max(1) as f64,
+                traffic(&stride),
+                traffic(&t1),
             ]
         },
     );

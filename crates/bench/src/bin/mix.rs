@@ -1,6 +1,5 @@
 //! Multi-tenant mix runner: pairs of workloads co-scheduled on one
-//! shared LLC/DRAM through the discrete-event [`Cluster`] kernel, one
-//! grid row per tenant.
+//! shared LLC/DRAM through one [`Cluster`], one grid row per tenant.
 //!
 //! ```text
 //! mix [--scale tiny|train|ref] [--threads N] [--warm N] [--window N]
@@ -10,12 +9,10 @@
 //! Telemetry (stderr/sidecar only, never the report): `--progress`
 //! prints a live done/total line; `R3DLA_TRACE=path` records a Chrome
 //! trace; `R3DLA_TELEMETRY=1` writes a `*.telemetry.json` sidecar next
-//! to `--out` (see `docs/OBSERVABILITY.md`). The sidecar carries the
-//! cluster kernel's dispatch counters (`kernel.dispatched`,
-//! `kernel.stale_dropped`).
+//! to `--out` (see `docs/OBSERVABILITY.md`).
 //!
-//! Each pair assembles two DLA systems over the *same*
-//! [`SharedLlc`] handle and pumps them through one kernel under one
+//! Each pair assembles two DLA systems over the *same* [`SharedLlc`]
+//! handle and interleaves them, earliest local clock first, under one
 //! global clock; the per-tenant window reports are captured the moment
 //! each tenant finishes its window. The JSON
 //! (`r3dla-bench-mix-v1`) is byte-identical across `--threads`
@@ -101,7 +98,7 @@ fn main() {
     });
     let find = |name: &str| &prepared[names.iter().position(|n| n.as_str() == name).unwrap()];
 
-    // Each pair gets its own shared memory side and its own kernel; the
+    // Each pair gets its own shared memory side and its own cluster; the
     // pairs themselves are independent, so they fan out across workers
     // without affecting the (deterministic) per-pair interleaving. The
     // supervisor contains a panicking/runaway pair to a pair of status
@@ -130,11 +127,6 @@ fn main() {
             }
             let t0 = std::time::Instant::now();
             let reports = cluster.measure_each(warm, win);
-            if r3dla_obs::counters::enabled() {
-                let ks = cluster.kernel_stats();
-                r3dla_obs::counters::add("kernel.dispatched", ks.dispatched);
-                r3dla_obs::counters::add("kernel.stale_dropped", ks.stale_dropped);
-            }
             Ok((reports, t0.elapsed().as_millis() as u64))
         },
     );

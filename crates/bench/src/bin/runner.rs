@@ -23,6 +23,10 @@
 //! writes that timed variant alongside the deterministic one from the
 //! same run. Exits non-zero when any cell commits zero instructions.
 //!
+//! A whole-window grid (no `--sample`) exits 2 before preparing
+//! anything when `--warm` alone reaches the end of a workload at the
+//! chosen scale: such a cell could only commit zero instructions.
+//!
 //! `--filter W[/C]` narrows the grid to workloads containing `W` and
 //! configs containing `C` (rerun one cell without the whole suite);
 //! `--list` prints the available names and exits.
@@ -40,6 +44,7 @@
 use r3dla_bench::runner::{run_grid, scale_by_name, ConfigSpec, GridSpec};
 use r3dla_bench::sampled::{check_against_reference, run_grid_sampled};
 use r3dla_bench::{arg_f64, arg_flag, arg_str, arg_threads, arg_u64, FaultPlan, WARMUP, WINDOW};
+use r3dla_core::dynamic_length;
 use r3dla_sample::SampleSpec;
 use r3dla_workloads::{by_name, suite, Scale, Workload};
 
@@ -142,6 +147,19 @@ fn main() {
     let timing_out = arg_str("--timing-out");
     let check_against = arg_str("--check-against");
     let tolerance = arg_f64("--check-tolerance", 0.25);
+    if sample.is_none() {
+        for w in &spec.workloads {
+            let len = dynamic_length(&w.build(scale).program, warm + 1);
+            if len <= warm {
+                eprintln!(
+                    "workload '{}' ends after {len} instructions, within --warm {warm}; \
+                     lower --warm or use --sample",
+                    w.name
+                );
+                std::process::exit(2);
+            }
+        }
+    }
     eprintln!(
         "runner: {} workloads x {} configs on {} threads{}{}",
         spec.workloads.len(),

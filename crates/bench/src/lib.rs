@@ -318,8 +318,18 @@ pub fn row(cells: &[String]) -> String {
 }
 
 /// Geometric-mean summary per suite plus overall, from
-/// `(suite, value)` pairs — the paper's standard aggregation.
+/// `(suite, value)` pairs — the paper's standard aggregation. Undefined
+/// values (NaN, such as a 0/0 ratio, or infinite) are left out of the
+/// means; a group with no finite value summarizes to NaN.
 pub fn suite_summary(pairs: &[(Suite, f64)]) -> Vec<(String, f64)> {
+    let finite_geomean = |vals: Vec<f64>| {
+        let vals: Vec<f64> = vals.into_iter().filter(|v| v.is_finite()).collect();
+        if vals.is_empty() {
+            f64::NAN
+        } else {
+            r3dla_stats::geomean(&vals)
+        }
+    };
     let mut out = Vec::new();
     for s in [Suite::SpecInt, Suite::Crono, Suite::Star, Suite::Npb] {
         let vals: Vec<f64> = pairs
@@ -328,11 +338,11 @@ pub fn suite_summary(pairs: &[(Suite, f64)]) -> Vec<(String, f64)> {
             .map(|(_, v)| *v)
             .collect();
         if !vals.is_empty() {
-            out.push((s.to_string(), r3dla_stats::geomean(&vals)));
+            out.push((s.to_string(), finite_geomean(vals)));
         }
     }
     let all: Vec<f64> = pairs.iter().map(|(_, v)| *v).collect();
-    out.push(("all".to_string(), r3dla_stats::geomean(&all)));
+    out.push(("all".to_string(), finite_geomean(all)));
     out
 }
 
@@ -451,5 +461,22 @@ mod tests {
         let spec = s.iter().find(|(n, _)| n == "spec").unwrap().1;
         assert!((spec - 4.0).abs() < 1e-9);
         assert_eq!(s.last().unwrap().0, "all");
+    }
+
+    #[test]
+    fn suite_summary_skips_undefined_values() {
+        let pairs = vec![
+            (Suite::Npb, 2.0),
+            (Suite::Npb, f64::NAN),
+            (Suite::Npb, 8.0),
+            (Suite::Crono, f64::INFINITY),
+        ];
+        let s = suite_summary(&pairs);
+        let npb = s.iter().find(|(n, _)| n == "npb").unwrap().1;
+        assert!((npb - 4.0).abs() < 1e-9, "npb geomean {npb}");
+        let crono = s.iter().find(|(n, _)| n == "crono").unwrap().1;
+        assert!(crono.is_nan(), "no finite crono value: {crono}");
+        let all = s.last().unwrap().1;
+        assert!((all - 4.0).abs() < 1e-9, "all geomean {all}");
     }
 }

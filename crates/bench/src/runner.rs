@@ -665,6 +665,16 @@ impl ExperimentSpec {
     }
 }
 
+/// A markdown table cell: three decimals, or `n/a` for an undefined
+/// (NaN) value.
+fn cell(v: f64) -> String {
+    if v.is_nan() {
+        "n/a".to_string()
+    } else {
+        format!("{v:.3}")
+    }
+}
+
 /// Executed experiment: per-workload rows plus aggregation helpers.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
@@ -694,7 +704,7 @@ impl ExperimentResult {
         println!("| bench | {} |", self.columns.join(" | "));
         println!("|---{}|", "|---".repeat(self.columns.len()));
         for r in &self.rows {
-            let cells: Vec<String> = r.values.iter().map(|v| format!("{v:.3}")).collect();
+            let cells: Vec<String> = r.values.iter().map(|&v| cell(v)).collect();
             println!("| {} | {} |", r.workload, cells.join(" | "));
         }
     }
@@ -707,7 +717,7 @@ impl ExperimentResult {
             .map(|k| crate::suite_summary(&self.column(k)))
             .collect();
         for g in 0..summaries[0].len() {
-            let cells: Vec<String> = summaries.iter().map(|s| format!("{:.3}", s[g].1)).collect();
+            let cells: Vec<String> = summaries.iter().map(|s| cell(s[g].1)).collect();
             println!("| {} | {} |", summaries[0][g].0, cells.join(" | "));
         }
     }

@@ -1,5 +1,6 @@
 //! `runner --help` / `-h` print the usage block and exit 0 instead of
-//! launching the default (ref-scale, whole-suite) grid.
+//! launching the default (ref-scale, whole-suite) grid, and a warm-up
+//! longer than a workload fails before anything is prepared.
 
 use std::process::Command;
 
@@ -27,4 +28,30 @@ fn help_prints_the_module_doc_usage_and_exits_zero() {
             );
         }
     }
+}
+
+/// `gobmk_like` at tiny scale is shorter than the default 40k warm-up:
+/// the runner must refuse the grid up front instead of measuring a
+/// zero-commit cell.
+#[test]
+fn warmup_past_the_program_end_exits_two_before_preparing() {
+    let out = Command::new(env!("CARGO_BIN_EXE_runner"))
+        .args([
+            "--scale",
+            "tiny",
+            "--workloads",
+            "gobmk_like",
+            "--configs",
+            "bl",
+        ])
+        .output()
+        .expect("runner starts");
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("gobmk_like"), "stderr: {stderr}");
+    assert!(stderr.contains("--warm 40000"), "stderr: {stderr}");
+    assert!(
+        !stderr.contains("workloads x"),
+        "the grid must not start: {stderr}"
+    );
 }

@@ -18,9 +18,10 @@
 //!   §III-E;
 //! * [`DlaSystem`] — the assembled two-core system; [`SingleCoreSim`] —
 //!   the conventional baseline;
-//! * [`Kernel`] / [`Cluster`] — the deterministic discrete-event
-//!   scheduler and the multi-tenant driver it serves, hosting N systems
-//!   (shared LLC/DRAM) under one global clock;
+//! * [`MeasureTarget`] — the one run loop and measurement surface both
+//!   systems implement; [`Cluster`] — the multi-tenant driver hosting N
+//!   systems (shared LLC/DRAM) under one global clock, dispatching the
+//!   earliest tenant first;
 //! * [`ilp_limit`] — the Fig 1 implicit-parallelism limit study.
 //!
 //! # Examples
@@ -35,9 +36,9 @@
 //! assert!(report.mt_ipc > 0.0);
 //! ```
 
+mod cluster;
 mod dataflow;
 pub mod guard;
-mod kernel;
 mod limit;
 mod overlay;
 mod profile;
@@ -50,11 +51,9 @@ mod t1;
 mod tunables;
 mod value_reuse;
 
+pub use cluster::Cluster;
 pub use dataflow::{BitSet, Dataflow};
 pub use guard::{CellGuard, Interrupt};
-pub use kernel::{
-    event_kernel_default, ActorId, Cluster, EventQueue, Kernel, KernelActor, KernelStats,
-};
 pub use limit::{ilp_limit, LimitModel, LimitResult};
 pub use overlay::OverlayMem;
 pub use profile::{dynamic_length, profile, profile_functional, profile_timing, ProfileData};
@@ -63,8 +62,8 @@ pub use recycle::{ActiveSkeleton, RecycleController, RecycleMode};
 pub use skeleton::{generate_skeletons, Skeleton, SkeletonOptions, SkeletonSet};
 pub use static_tune::{build_static_tuned, static_recycle_mode, static_tune};
 pub use system::{
-    measure_window, BuildError, DlaConfig, DlaSystem, MeasureTarget, SingleCoreSim, SysSnapshot,
-    WindowReport,
+    event_kernel_default, measure_window, BuildError, DlaConfig, DlaSystem, MeasureTarget,
+    SingleCoreSim, SysSnapshot, WindowReport,
 };
 pub use t1::T1;
 pub use value_reuse::{Sif, VrSource};

@@ -1,5 +1,5 @@
 //! Multi-tenant co-scheduling: two R3-DLA systems share one LLC/DRAM and
-//! run under one discrete-event kernel with a single global clock. Each
+//! run in one cluster under a single global clock. Each
 //! tenant is measured solo first, so the printout shows what LLC/DRAM
 //! contention costs each workload.
 //!
@@ -38,7 +38,7 @@ fn main() {
         .collect();
 
     // Shared run: both systems are assembled over the same SharedLlc
-    // handle and pushed into one cluster. The kernel interleaves them in
+    // handle and pushed into one cluster, which interleaves them in
     // global-time order; a pending fill (either tenant's) bounds the
     // other's skip window, so cross-tenant wakeups are honoured.
     let cfg = DlaConfig::r3();

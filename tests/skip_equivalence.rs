@@ -1,13 +1,14 @@
 //! Cycle-skipping equivalence suite: the event-driven fast path must be
 //! invisible in every reported statistic.
 //!
-//! A single system has one run loop, a plain `while` over its quantum
-//! advance. For each cell at `Scale::Tiny`, that loop is run with
-//! event-driven cycle skipping on and off, and the deterministic
+//! A single system has one run loop, `MeasureTarget::run_insts`, a
+//! plain `while` over its quantum advance. For each cell at
+//! `Scale::Tiny`, that loop is run with event-driven cycle skipping on
+//! and off, and the deterministic
 //! `BENCH_*.json` cell rows must be identical. Any divergence in cycles,
 //! commits, DRAM traffic, cache statistics or reboot counts fails the
 //! suite. `event_kernel_equivalence.rs` checks the same reference row
-//! against the discrete-event kernel.
+//! against a one-tenant `Cluster`.
 
 mod common;
 
