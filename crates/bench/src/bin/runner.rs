@@ -201,7 +201,7 @@ fn main() {
         }
         let result = run_grid_sampled(&spec, &sample, threads);
         write_out(&result.to_json(arg_flag("--timing")));
-        finalize(None);
+        finalize(Some(result.sim_mips()));
         if let Some(path) = &timing_out {
             std::fs::write(path, result.to_json(true)).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");

@@ -13,8 +13,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use r3dla_core::{
-    generate_skeletons, profile, Dataflow, DlaConfig, DlaSystem, ProfileData, SingleCoreSim,
-    SkeletonOptions, SkeletonSet, WindowReport,
+    generate_skeletons, profile_functional, profile_timing, timing_budget, Dataflow, DlaConfig,
+    DlaSystem, ProfileData, SingleCoreSim, SkeletonOptions, SkeletonSet, WindowReport,
 };
 use r3dla_cpu::{BaseMem, Core, CoreConfig, PredictorDirection};
 use r3dla_isa::{ArchState, Program, VecMem};
@@ -73,20 +73,38 @@ const _: () = {
 
 impl Prepared {
     /// Profiles and generates skeletons for one workload.
+    ///
+    /// Traced, each stage is a child span of the `prepare` span, in a
+    /// category of its own (see `docs/OBSERVABILITY.md`).
     pub fn new(w: &Workload, scale: Scale) -> Self {
         let _sp = r3dla_obs::span!("prepare", "{}", w.name);
         let built = w.build(scale);
         let program = Arc::new(built.program.clone());
-        let df = Dataflow::analyze(&program);
-        // Profiling assembles a (thread-confined) timing core, which
-        // shares the program by `Rc`.
-        let prof = profile(
-            &Rc::new(built.program.clone()),
-            DlaConfig::dla().profile_insts,
-        );
+        let df = {
+            let _sp = r3dla_obs::span!("prepare.dataflow", "{}", w.name);
+            Dataflow::analyze(&program)
+        };
+        let insts = DlaConfig::dla().profile_insts;
+        let mut prof = {
+            let _sp = r3dla_obs::span!("prepare.profile_functional", "{}", w.name);
+            profile_functional(&program, insts)
+        };
+        {
+            let _sp = r3dla_obs::span!("prepare.profile_timing", "{}", w.name);
+            // The training run assembles a (thread-confined) timing
+            // core, which shares the program by `Rc`.
+            let program = Rc::new(built.program.clone());
+            profile_timing(&program, &mut prof, timing_budget(insts));
+        }
         let opt = SkeletonOptions::default();
-        let skeletons_t1 = generate_skeletons(&program, &df, &prof, &opt, true);
-        let skeletons_plain = generate_skeletons(&program, &df, &prof, &opt, false);
+        let skeletons_t1 = {
+            let _sp = r3dla_obs::span!("prepare.skeletons", "{} t1", w.name);
+            generate_skeletons(&program, &df, &prof, &opt, true)
+        };
+        let skeletons_plain = {
+            let _sp = r3dla_obs::span!("prepare.skeletons", "{} plain", w.name);
+            generate_skeletons(&program, &df, &prof, &opt, false)
+        };
         Self {
             name: w.name.to_string(),
             suite: w.suite,

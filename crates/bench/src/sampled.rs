@@ -206,6 +206,24 @@ impl SampledGridResult {
         self.prep_ms + self.plan_ms + self.measure_ms
     }
 
+    /// Aggregate simulated throughput in MIPS over the measurement
+    /// phase: every interval's committed instructions (MT + LT, measured
+    /// windows only) per host second of detailed measurement, as
+    /// [`GridResult::sim_mips`](crate::GridResult::sim_mips) counts a
+    /// plain grid.
+    pub fn sim_mips(&self) -> f64 {
+        if self.measure_ms == 0 {
+            return 0.0;
+        }
+        let insts: u64 = self
+            .cells
+            .iter()
+            .flat_map(|c| &c.reports)
+            .map(|r| r.mt_committed + r.lt_committed)
+            .sum();
+        insts as f64 / (self.measure_ms as f64 * 1000.0)
+    }
+
     /// Cells with no intervals at all, or with any *successfully
     /// measured* interval that committed zero MT instructions — a sick
     /// simulation the CI gate fails on (one wedged interval would

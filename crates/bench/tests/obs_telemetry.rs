@@ -4,7 +4,7 @@
 //!   across `--threads` settings;
 //! * report bytes are untouched by arming tracing and counters;
 //! * a traced campaign produces a Chrome-trace JSON file with per-cell
-//!   spans and named worker threads.
+//!   spans, per-stage preparation spans and named worker threads.
 //!
 //! Obs state (counter registry, span pool) is process-global and every
 //! integration-test *file* is its own process, so all obs tests live in
@@ -122,6 +122,19 @@ fn traced_grid_run_emits_cell_spans_and_worker_names() {
         body.contains("\"cat\":\"prepare\""),
         "missing prepare spans"
     );
+    // `Prepared::new`'s stages, in categories of their own so that
+    // summing the `prepare` category does not count them twice.
+    for stage in [
+        "dataflow",
+        "profile_functional",
+        "profile_timing",
+        "skeletons",
+    ] {
+        assert!(
+            body.contains(&format!("\"cat\":\"prepare.{stage}\"")),
+            "missing prepare.{stage} spans"
+        );
+    }
     assert!(body.contains("\"cat\":\"cell\""), "missing cell spans");
     assert!(
         body.contains("\"thread_name\"") && body.contains("worker-0"),

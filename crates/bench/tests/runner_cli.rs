@@ -1,6 +1,7 @@
 //! `runner --help` / `-h` print the usage block and exit 0 instead of
-//! launching the default (ref-scale, whole-suite) grid, and a warm-up
-//! longer than a workload fails before anything is prepared.
+//! launching the default (ref-scale, whole-suite) grid, a warm-up
+//! longer than a workload fails before anything is prepared, and a
+//! sampled run's telemetry sidecar carries its simulated throughput.
 
 use std::process::Command;
 
@@ -53,5 +54,50 @@ fn warmup_past_the_program_end_exits_two_before_preparing() {
     assert!(
         !stderr.contains("workloads x"),
         "the grid must not start: {stderr}"
+    );
+}
+
+/// `runner --sample` reports the aggregate simulated MIPS of its
+/// measured intervals in the telemetry sidecar, as a plain grid does.
+#[test]
+fn sampled_sidecar_carries_aggregate_mips() {
+    let dir = std::env::temp_dir().join(format!("r3dla-runner-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sidecar = dir.join("sampled.telemetry.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_runner"))
+        .args([
+            "--scale",
+            "tiny",
+            "--workloads",
+            "md5_like",
+            "--configs",
+            "bl",
+            "--threads",
+            "1",
+            "--sample",
+            "2:2000:functional",
+            "--out",
+        ])
+        .arg(dir.join("sampled.json"))
+        .env("R3DLA_TELEMETRY", &sidecar)
+        .output()
+        .expect("runner starts");
+    let body = std::fs::read_to_string(&sidecar);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let body = body.expect("sidecar written");
+    let mips = body
+        .split("\"aggregate_mips\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .expect("aggregate_mips field");
+    assert!(
+        mips.parse::<f64>().is_ok_and(|v| v > 0.0),
+        "aggregate_mips {mips} in:\n{body}"
     );
 }

@@ -56,7 +56,9 @@ pub use dataflow::{BitSet, Dataflow};
 pub use guard::{CellGuard, Interrupt};
 pub use limit::{ilp_limit, LimitModel, LimitResult};
 pub use overlay::OverlayMem;
-pub use profile::{dynamic_length, profile, profile_functional, profile_timing, ProfileData};
+pub use profile::{
+    dynamic_length, profile, profile_functional, profile_timing, timing_budget, ProfileData,
+};
 pub use queues::{Boq, BoqDirection, BoqEntry, Footnote, FootnoteQueue};
 pub use recycle::{ActiveSkeleton, RecycleController, RecycleMode};
 pub use skeleton::{generate_skeletons, Skeleton, SkeletonOptions, SkeletonSet};

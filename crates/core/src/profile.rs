@@ -222,8 +222,14 @@ pub fn profile_timing(prog: &Rc<Program>, data: &mut ProfileData, max_insts: u64
 /// Convenience: functional profile + timing augmentation.
 pub fn profile(prog: &Rc<Program>, max_insts: u64) -> ProfileData {
     let mut data = profile_functional(prog, max_insts);
-    profile_timing(prog, &mut data, (max_insts / 4).max(20_000));
+    profile_timing(prog, &mut data, timing_budget(max_insts));
     data
+}
+
+/// Committed instructions [`profile`] gives its timing pass after a
+/// functional pass over `max_insts`.
+pub fn timing_budget(max_insts: u64) -> u64 {
+    (max_insts / 4).max(20_000)
 }
 
 /// Runs a pure functional execution to completion and returns the dynamic

@@ -11,7 +11,6 @@
 //! designed to absorb on behalf of the main thread.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use r3dla_bpred::{Btb, BtbConfig, Ras, RasState};
@@ -27,6 +26,7 @@ use crate::iface::{
     BranchOverride, CommitRecord, CommitSink, FetchDirection, FetchFilter, ThreadMem, ValueSource,
 };
 use crate::prf::Prf;
+use crate::ring::{Ring, StoreQueue};
 
 /// Base address where skeleton mask bits live in the binary image; the
 /// look-ahead front end fetches mask lines from here (paper §III-A iii).
@@ -39,9 +39,9 @@ enum Stage {
     Done,
 }
 
+/// A ROB slot. Its ring position is the instruction's sequence number.
 #[derive(Debug, Clone)]
 struct RobEntry {
-    seq: u64,
     pc: u64,
     inst: Inst,
     stage: Stage,
@@ -59,9 +59,10 @@ struct RobEntry {
     // branch and distance from it).
     branch_tag: u64,
     branch_offset: u32,
-    // Memory bookkeeping.
+    // Memory bookkeeping. A store's data lives in the store queue, at
+    // `sq_pos` (meaningless for other instructions).
     addr: Option<u64>,
-    store_val: Option<u64>,
+    sq_pos: u64,
     l1_miss: bool,
     l2_miss: bool,
     tlb_miss: bool,
@@ -95,6 +96,52 @@ struct FetchedInst {
     branch_offset: u32,
 }
 
+impl FetchedInst {
+    /// The contents of a front-end slot before its first use.
+    fn vacant(ras: &Rc<RasState>) -> Self {
+        Self {
+            pc: 0,
+            inst: Inst::NOP,
+            pred_next_pc: 0,
+            dir_snapshot: 0,
+            ras_snapshot: Rc::clone(ras),
+            decode_ready: 0,
+            branch_tag: 0,
+            branch_offset: 0,
+        }
+    }
+}
+
+impl RobEntry {
+    /// The contents of a ROB slot before its first use.
+    fn vacant(ras: &Rc<RasState>) -> Self {
+        Self {
+            pc: 0,
+            inst: Inst::NOP,
+            stage: Stage::Done,
+            exec_done: 0,
+            dest_new: None,
+            dest_old: None,
+            src: [None; 2],
+            pred_next_pc: 0,
+            actual_taken: None,
+            actual_next_pc: 0,
+            dir_snapshot: 0,
+            ras_snapshot: Rc::clone(ras),
+            branch_tag: 0,
+            branch_offset: 0,
+            addr: None,
+            sq_pos: 0,
+            l1_miss: false,
+            l2_miss: false,
+            tlb_miss: false,
+            vpred: None,
+            result: None,
+            dispatch_cycle: 0,
+        }
+    }
+}
+
 /// Per-thread results exposed after simulation.
 #[derive(Debug, Default, Clone)]
 pub struct ThreadStats {
@@ -124,7 +171,7 @@ struct Thread {
     /// modelling the 20-stage pipe without consuming fetch-buffer
     /// capacity. The rest are the fetch buffer. Draining moves the
     /// boundary, not the instruction.
-    front_end: VecDeque<FetchedInst>,
+    front_end: Ring<FetchedInst>,
     decoding: usize,
     dir: Box<dyn FetchDirection>,
     btb: Btb,
@@ -144,13 +191,18 @@ struct Thread {
     rat: [u16; Reg::COUNT],
     validated: [bool; Reg::COUNT],
     // Backend.
-    rob: VecDeque<RobEntry>,
-    rob_head_seq: u64,
-    next_seq: u64,
-    store_queue: VecDeque<u64>, // seqs of in-flight stores, oldest first
+    /// Renamed, uncommitted instructions, positioned by sequence
+    /// number: `rob.head()` is the oldest in flight and `rob.tail()` the
+    /// number the next renamed instruction takes.
+    rob: Ring<RobEntry>,
+    store_queue: StoreQueue,
     /// Issued, unresolved instructions as `(seq, exec_done)`, in no
     /// particular order: writeback scans these instead of the ROB.
     executing: Vec<(u64, u64)>,
+    /// Lower bound on the smallest `exec_done` in `executing`
+    /// (`u64::MAX` when it is empty). Writeback skips the scan while it
+    /// lies in the future; the scan leaves it exact.
+    next_done: u64,
 
     // Architectural state.
     arch_regs: [u64; Reg::COUNT],
@@ -184,6 +236,28 @@ impl Thread {
     /// The oldest instruction in the decode pipe.
     fn decode_head(&self) -> Option<&FetchedInst> {
         self.front_end.front().filter(|_| self.decoding > 0)
+    }
+
+    /// The ROB slot of a queued instruction.
+    ///
+    /// The IQ never holds an entry whose ROB slot is gone, nor one that
+    /// has left `Stage::Dispatched`: rename enqueues an entry together
+    /// with its `Dispatched` ROB slot (skip-validation entries, born
+    /// `Done`, are never enqueued); issue dequeues it as it leaves
+    /// `Dispatched`; commit retires only `Done` entries; a squash pops
+    /// exactly the ROB entries younger than the squashing `seq` and
+    /// drops the same ones from the IQ; a reboot drops all of a
+    /// thread's entries from both. So readiness may be checked from the
+    /// IQ copy before the ROB is consulted.
+    fn queued(&self, q: &IqEntry) -> &RobEntry {
+        debug_assert!(
+            (self.rob.head()..self.rob.tail()).contains(&q.seq)
+                && self.rob.at(q.seq).stage == Stage::Dispatched,
+            "IQ entry (thread {}, seq {}) without a live dispatched ROB slot",
+            q.thread,
+            q.seq
+        );
+        self.rob.at(q.seq)
     }
 
     fn clear_front_end(&mut self) {
@@ -222,6 +296,68 @@ impl Thread {
     }
 }
 
+/// Functional-unit occupancy: per-cycle issue counts per class, and the
+/// cycle each unpipelined divider frees.
+struct FuPool {
+    int_busy_until: Vec<u64>,
+    fp_busy_until: Vec<u64>,
+    mem_used: usize,
+    int_used: usize,
+    fp_used: usize,
+}
+
+impl FuPool {
+    fn new(cfg: &CoreConfig) -> Self {
+        Self {
+            int_busy_until: vec![0; cfg.int_units],
+            fp_busy_until: vec![0; cfg.fp_units],
+            mem_used: 0,
+            int_used: 0,
+            fp_used: 0,
+        }
+    }
+
+    fn new_cycle(&mut self) {
+        self.mem_used = 0;
+        self.int_used = 0;
+        self.fp_used = 0;
+    }
+
+    fn available(&self, cfg: &CoreConfig, class: FuClass, cycle: u64) -> bool {
+        match class {
+            FuClass::IntAlu | FuClass::Branch | FuClass::IntMul => self.int_used < cfg.int_units,
+            FuClass::IntDiv => {
+                self.int_used < cfg.int_units && self.int_busy_until.iter().any(|&b| b <= cycle)
+            }
+            FuClass::Mem => self.mem_used < cfg.mem_units,
+            FuClass::Fp => self.fp_used < cfg.fp_units,
+            FuClass::FpDiv => {
+                self.fp_used < cfg.fp_units && self.fp_busy_until.iter().any(|&b| b <= cycle)
+            }
+        }
+    }
+
+    fn consume(&mut self, class: FuClass, cycle: u64, done: u64) {
+        match class {
+            FuClass::IntAlu | FuClass::Branch | FuClass::IntMul => self.int_used += 1,
+            FuClass::IntDiv => {
+                self.int_used += 1;
+                if let Some(b) = self.int_busy_until.iter_mut().find(|b| **b <= cycle) {
+                    *b = done;
+                }
+            }
+            FuClass::Mem => self.mem_used += 1,
+            FuClass::Fp => self.fp_used += 1,
+            FuClass::FpDiv => {
+                self.fp_used += 1;
+                if let Some(b) = self.fp_busy_until.iter_mut().find(|b| **b <= cycle) {
+                    *b = done;
+                }
+            }
+        }
+    }
+}
+
 /// A cycle-stepped out-of-order core.
 pub struct Core {
     cfg: CoreConfig,
@@ -231,11 +367,7 @@ pub struct Core {
     prf: Prf,
     iq: Vec<IqEntry>,
     cycle: u64,
-    int_busy_until: Vec<u64>,
-    fp_busy_until: Vec<u64>,
-    mem_used_this_cycle: usize,
-    int_used_this_cycle: usize,
-    fp_used_this_cycle: usize,
+    fus: FuPool,
     /// Activity counters (consumed by the energy model).
     pub counters: ActivityCounters,
 }
@@ -255,11 +387,7 @@ impl Core {
     pub fn new(cfg: CoreConfig, program: Rc<Program>, mem: CoreMem) -> Self {
         let prf = Prf::new(cfg.prf_size, 0);
         Self {
-            int_busy_until: vec![0; cfg.int_units],
-            fp_busy_until: vec![0; cfg.fp_units],
-            mem_used_this_cycle: 0,
-            int_used_this_cycle: 0,
-            fp_used_this_cycle: 0,
+            fus: FuPool::new(&cfg),
             cfg,
             program,
             mem,
@@ -291,10 +419,14 @@ impl Core {
             self.prf.init(p, regs[i]);
             *r = p;
         }
+        let ras = Rc::new(Ras::new().snapshot());
         self.threads.push(Thread {
             fetch_pc: entry,
             fetch_stall_until: 0,
-            front_end: VecDeque::with_capacity(self.cfg.fetch_buffer + self.decode_pipe_cap()),
+            front_end: Ring::new(
+                self.cfg.fetch_buffer + self.decode_pipe_cap(),
+                FetchedInst::vacant(&ras),
+            ),
             decoding: 0,
             dir,
             btb: Btb::new(BtbConfig::paper()),
@@ -307,11 +439,10 @@ impl Core {
             halted_fetch: false,
             rat,
             validated: [false; Reg::COUNT],
-            rob: VecDeque::with_capacity(self.cfg.rob_size),
-            rob_head_seq: 0,
-            next_seq: 0,
-            store_queue: VecDeque::new(),
+            rob: Ring::new(self.cfg.rob_size, RobEntry::vacant(&ras)),
+            store_queue: StoreQueue::new(self.cfg.lsq_size),
             executing: Vec::new(),
+            next_done: u64::MAX,
             arch_regs: regs,
             arch_pc: entry,
             mem,
@@ -434,9 +565,7 @@ impl Core {
     /// Advances the whole core by one cycle.
     pub fn step(&mut self) {
         self.counters.cycles.inc();
-        self.mem_used_this_cycle = 0;
-        self.int_used_this_cycle = 0;
-        self.fp_used_this_cycle = 0;
+        self.fus.new_cycle();
         self.stage_commit();
         self.stage_writeback();
         self.stage_issue();
@@ -575,12 +704,11 @@ impl Core {
                 }
             }
             // Writeback: issued, unresolved entries complete at exec_done.
-            for &(_, done) in &t.executing {
-                if done <= now {
-                    return None;
-                }
-                wake = wake.min(done);
+            // Between steps the bound is exact (see `stage_writeback`).
+            if t.next_done <= now {
+                return None;
             }
+            wake = wake.min(t.next_done);
         }
         // Issue: earliest cycle any queued entry could become ready.
         for q in &self.iq {
@@ -591,7 +719,7 @@ impl Core {
             // refinement applies only to unfiltered threads (for the
             // others the plain source bound is already a valid floor).
             let t = &self.threads[q.thread];
-            if t.rob[self.queued_index(q)].inst.is_load() && t.filter.is_none() {
+            if t.queued(q).inst.is_load() && t.filter.is_none() {
                 ready = ready.max(Self::load_block_bound(&self.prf, t, q.seq));
             }
             if ready <= now {
@@ -616,19 +744,15 @@ impl Core {
     /// Lower bound on the cycle at which the oldest address-unresolved
     /// store blocking loads at `seq` could resolve (0 when none blocks).
     fn load_block_bound(prf: &Prf, t: &Thread, seq: u64) -> u64 {
-        for &sseq in &t.store_queue {
-            if sseq >= seq {
-                break;
-            }
-            let idx = (sseq - t.rob_head_seq) as usize;
-            let se = &t.rob[idx];
-            if se.addr.is_none() {
+        match t.store_queue.oldest_unresolved() {
+            Some(s) if s.seq < seq => {
                 // The store resolves its address no earlier than it can
                 // issue.
-                return Self::ready_bound(prf, se.dispatch_cycle, &se.src);
+                let se = t.rob.at(s.seq);
+                Self::ready_bound(prf, se.dispatch_cycle, &se.src)
             }
+            _ => 0,
         }
-        0
     }
 
     /// Bulk-advances a quiescent core to `target`, replaying exactly the
@@ -672,9 +796,7 @@ impl Core {
                 t.stats.fetched_per_cycle.record_n(0, n);
             }
         }
-        self.mem_used_this_cycle = 0;
-        self.int_used_this_cycle = 0;
-        self.fp_used_this_cycle = 0;
+        self.fus.new_cycle();
         self.cycle = target;
     }
 
@@ -701,18 +823,24 @@ impl Core {
 
     fn commit_one(&mut self, tid: usize) -> bool {
         let cycle = self.cycle;
-        let t = &mut self.threads[tid];
-        let Some(head) = t.rob.front() else {
+        let Core {
+            threads,
+            prf,
+            mem,
+            counters,
+            ..
+        } = self;
+        let t = &mut threads[tid];
+        let seq = t.rob.head();
+        let Some(e) = t.rob.front() else {
             return false;
         };
-        if head.stage != Stage::Done || head.exec_done > cycle {
+        if e.stage != Stage::Done || e.exec_done > cycle {
             return false;
         }
-        let e = t.rob.pop_front().expect("head exists");
-        t.rob_head_seq = e.seq + 1;
         if let Some(rd) = e.inst.def() {
             if let Some(old) = e.dest_old {
-                self.prf.free(old);
+                prf.free(old);
             }
             if let Some(v) = e.result {
                 t.arch_regs[rd.index()] = v;
@@ -720,13 +848,13 @@ impl Core {
         }
         t.arch_pc = e.actual_next_pc;
         if e.inst.is_store() {
-            if let (Some(addr), Some(val)) = (e.addr, e.store_val) {
-                t.mem.borrow_mut().store(addr, val);
-                self.mem.store(addr, e.pc, cycle);
+            let s = t.store_queue.front().expect("a store in flight");
+            debug_assert_eq!(s.seq, seq, "store queue out of step with the ROB");
+            if let Some(addr) = s.addr {
+                t.mem.borrow_mut().store(addr, s.data);
+                mem.store(addr, e.pc, cycle);
             }
-            if t.store_queue.front() == Some(&e.seq) {
-                t.store_queue.pop_front();
-            }
+            t.store_queue.pop_front();
         }
         if e.inst.op == Op::Halt {
             t.halted = true;
@@ -741,14 +869,14 @@ impl Core {
                 t.stats.l1d_load_misses += 1;
             }
         }
-        self.counters.committed.inc();
+        counters.committed.inc();
         // Borrow the sink in place — no per-commit `Rc` refcount churn.
-        // The record is built entirely from the popped entry, so no core
-        // borrow is live while the sink runs.
-        if let Some(sink) = &self.threads[tid].commit_sink {
+        // The sink cannot reach the core, so the ROB slot may be read
+        // while it runs and retired after.
+        if let Some(sink) = &t.commit_sink {
             let rec = CommitRecord {
                 thread: tid,
-                seq: e.seq,
+                seq,
                 inst: e.inst,
                 pc: e.pc,
                 cycle,
@@ -763,6 +891,7 @@ impl Core {
             };
             sink.borrow_mut().on_commit(&rec);
         }
+        t.rob.pop_front();
         true
     }
 
@@ -773,33 +902,50 @@ impl Core {
     fn stage_writeback(&mut self) {
         let cycle = self.cycle;
         for tid in 0..self.threads.len() {
+            if self.threads[tid].next_done > cycle {
+                continue;
+            }
             // Completes every due instruction, oldest first. A squash
             // drops the younger ones from `executing`, so the loop ends
             // there, exactly where an in-order walk of the ROB would.
-            while let Some(pos) = Self::oldest_due(&self.threads[tid].executing, cycle) {
-                let (seq, _) = self.threads[tid].executing.swap_remove(pos);
-                self.resolve_entry(tid, seq);
+            // The last scan finds nothing due, so the earliest pending
+            // completion it sees is the exact new bound.
+            loop {
+                let t = &mut self.threads[tid];
+                match Self::oldest_due(&t.executing, cycle) {
+                    Ok(pos) => {
+                        let (seq, _) = t.executing.swap_remove(pos);
+                        self.resolve_entry(tid, seq);
+                    }
+                    Err(next_done) => {
+                        t.next_done = next_done;
+                        break;
+                    }
+                }
             }
         }
     }
 
     /// Position in `executing` of the oldest instruction whose result is
-    /// due by `cycle`.
-    fn oldest_due(executing: &[(u64, u64)], cycle: u64) -> Option<usize> {
+    /// due by `cycle`; when none is due, the earliest `exec_done`
+    /// (`u64::MAX` for an empty list).
+    fn oldest_due(executing: &[(u64, u64)], cycle: u64) -> Result<usize, u64> {
         let mut oldest: Option<(usize, u64)> = None;
+        let mut earliest = u64::MAX;
         for (pos, &(seq, done)) in executing.iter().enumerate() {
+            earliest = earliest.min(done);
             if done <= cycle && oldest.is_none_or(|(_, s)| seq < s) {
                 oldest = Some((pos, seq));
             }
         }
-        oldest.map(|(pos, _)| pos)
+        oldest.map(|(pos, _)| pos).ok_or(earliest)
     }
 
     /// Completes one instruction, squashing younger ones on a value or
     /// branch mispredict.
     fn resolve_entry(&mut self, tid: usize, seq: u64) {
         let t = &mut self.threads[tid];
-        let en = &mut t.rob[(seq - t.rob_head_seq) as usize];
+        let en = t.rob.at_mut(seq);
         en.stage = Stage::Done;
         let (inst, pc, vpred, result) = (en.inst, en.pc, en.vpred, en.result);
         let (taken, actual_next, pred_next) = (en.actual_taken, en.actual_next_pc, en.pred_next_pc);
@@ -835,81 +981,87 @@ impl Core {
         }
     }
 
+    /// Undoes the rename of the ROB entry at `seq`, which is being
+    /// squashed.
+    fn unrename(t: &mut Thread, prf: &mut Prf, seq: u64) {
+        let e = t.rob.at(seq);
+        if let Some(rd) = e.inst.def() {
+            if let (Some(new), Some(old)) = (e.dest_new, e.dest_old) {
+                t.rat[rd.index()] = old;
+                prf.free(new);
+            }
+        }
+    }
+
     /// Squashes all entries younger than `seq` and redirects fetch after
     /// the squashing entry, which stays in the ROB.
     fn squash_younger(&mut self, tid: usize, seq: u64) {
         let cycle = self.cycle;
-        {
-            let t = &mut self.threads[tid];
-            while let Some(back) = t.rob.back() {
-                if back.seq <= seq {
-                    break;
-                }
-                let victim = t.rob.pop_back().expect("back exists");
-                if let Some(rd) = victim.inst.def() {
-                    if let (Some(new), Some(old)) = (victim.dest_new, victim.dest_old) {
-                        t.rat[rd.index()] = old;
-                        self.prf.free(new);
-                    }
-                }
-                if victim.inst.is_store() && t.store_queue.back() == Some(&victim.seq) {
-                    t.store_queue.pop_back();
-                }
-                self.counters.squashed.inc();
+        let Core {
+            threads,
+            prf,
+            iq,
+            counters,
+            ..
+        } = self;
+        let t = &mut threads[tid];
+        while t.rob.tail() > seq + 1 {
+            let victim = t.rob.tail() - 1;
+            Self::unrename(t, prf, victim);
+            if t.rob.at(victim).inst.is_store() {
+                debug_assert_eq!(t.store_queue.back().map(|s| s.seq), Some(victim));
+                t.store_queue.pop_back();
             }
-            let e = t.rob.back().expect("the squashing entry stays");
-            debug_assert_eq!(e.seq, seq);
-            let (inst, pc, next_pc, taken) = (e.inst, e.pc, e.actual_next_pc, e.actual_taken);
-            let (dir_snapshot, branch_tag, branch_offset) =
-                (e.dir_snapshot, e.branch_tag, e.branch_offset);
-            let ras_snapshot = Rc::clone(&e.ras_snapshot);
-            t.executing.retain(|&(s, _)| s <= seq);
-            t.next_seq = seq + 1;
-            t.clear_front_end();
-            t.validated = [false; Reg::COUNT];
-            // Redirect fetch down the architecturally correct path.
-            t.fetch_pc = next_pc;
-            t.fetch_stall_until = cycle + 1;
-            t.halted_fetch = false;
-            // Repair speculative front-end state to just-after the
-            // squashing entry.
-            t.dir.restore(dir_snapshot, taken);
-            t.ras_restore(ras_snapshot);
-            if matches!(
-                inst.branch_kind(),
-                Some(BranchKind::Call | BranchKind::IndCall)
-            ) {
-                t.ras_push(pc + INST_BYTES);
-            }
-            // Restore the value-reuse alignment cursor.
-            t.last_branch_tag = branch_tag;
-            t.cursor_offset = if inst.is_cond_branch() {
-                0
-            } else {
-                branch_offset
-            };
-            t.next_local_tag = branch_tag + 1;
+            t.rob.pop_back();
+            counters.squashed.inc();
         }
-        self.iq.retain(|q| q.thread != tid || q.seq <= seq);
+        let e = t.rob.back().expect("the squashing entry stays");
+        let (inst, pc, next_pc, taken) = (e.inst, e.pc, e.actual_next_pc, e.actual_taken);
+        let (dir_snapshot, branch_tag, branch_offset) =
+            (e.dir_snapshot, e.branch_tag, e.branch_offset);
+        let ras_snapshot = Rc::clone(&e.ras_snapshot);
+        t.executing.retain(|&(s, _)| s <= seq);
+        t.clear_front_end();
+        t.validated = [false; Reg::COUNT];
+        // Redirect fetch down the architecturally correct path.
+        t.fetch_pc = next_pc;
+        t.fetch_stall_until = cycle + 1;
+        t.halted_fetch = false;
+        // Repair speculative front-end state to just-after the
+        // squashing entry.
+        t.dir.restore(dir_snapshot, taken);
+        t.ras_restore(ras_snapshot);
+        if matches!(
+            inst.branch_kind(),
+            Some(BranchKind::Call | BranchKind::IndCall)
+        ) {
+            t.ras_push(pc + INST_BYTES);
+        }
+        // Restore the value-reuse alignment cursor.
+        t.last_branch_tag = branch_tag;
+        t.cursor_offset = if inst.is_cond_branch() {
+            0
+        } else {
+            branch_offset
+        };
+        t.next_local_tag = branch_tag + 1;
+        iq.retain(|q| q.thread != tid || q.seq <= seq);
     }
 
-    /// Squashes the entire pipeline state of a thread (reboot).
+    /// Squashes the entire pipeline state of a thread (reboot). Sequence
+    /// numbers continue from where the squashed ones ended.
     fn squash_all(&mut self, tid: usize) {
         let t = &mut self.threads[tid];
-        while let Some(e) = t.rob.pop_back() {
-            if let Some(rd) = e.inst.def() {
-                if let (Some(new), Some(old)) = (e.dest_new, e.dest_old) {
-                    t.rat[rd.index()] = old;
-                    self.prf.free(new);
-                }
-            }
+        for victim in (t.rob.head()..t.rob.tail()).rev() {
+            Self::unrename(t, &mut self.prf, victim);
             self.counters.squashed.inc();
         }
-        t.rob_head_seq = t.next_seq;
+        t.rob.clear();
         t.store_queue.clear();
         t.clear_front_end();
         t.ras_reset();
         t.executing.clear();
+        t.next_done = u64::MAX;
         t.validated = [false; Reg::COUNT];
         t.next_local_tag = 1;
         self.iq.retain(|q| q.thread != tid);
@@ -918,47 +1070,6 @@ impl Core {
     // ------------------------------------------------------------------
     // Issue / execute
     // ------------------------------------------------------------------
-
-    fn fu_available(&self, class: FuClass) -> bool {
-        match class {
-            FuClass::IntAlu | FuClass::Branch | FuClass::IntMul => {
-                self.int_used_this_cycle < self.cfg.int_units
-            }
-            FuClass::IntDiv => {
-                self.int_used_this_cycle < self.cfg.int_units
-                    && self.int_busy_until.iter().any(|&b| b <= self.cycle)
-            }
-            FuClass::Mem => self.mem_used_this_cycle < self.cfg.mem_units,
-            FuClass::Fp => self.fp_used_this_cycle < self.cfg.fp_units,
-            FuClass::FpDiv => {
-                self.fp_used_this_cycle < self.cfg.fp_units
-                    && self.fp_busy_until.iter().any(|&b| b <= self.cycle)
-            }
-        }
-    }
-
-    fn fu_consume(&mut self, class: FuClass, done: u64) {
-        let cycle = self.cycle;
-        match class {
-            FuClass::IntAlu | FuClass::Branch | FuClass::IntMul => {
-                self.int_used_this_cycle += 1;
-            }
-            FuClass::IntDiv => {
-                self.int_used_this_cycle += 1;
-                if let Some(b) = self.int_busy_until.iter_mut().find(|b| **b <= cycle) {
-                    *b = done;
-                }
-            }
-            FuClass::Mem => self.mem_used_this_cycle += 1,
-            FuClass::Fp => self.fp_used_this_cycle += 1,
-            FuClass::FpDiv => {
-                self.fp_used_this_cycle += 1;
-                if let Some(b) = self.fp_busy_until.iter_mut().find(|b| **b <= cycle) {
-                    *b = done;
-                }
-            }
-        }
-    }
 
     fn stage_issue(&mut self) {
         // Single age-ordered pass with in-place compaction: issued
@@ -982,96 +1093,79 @@ impl Core {
         self.iq.truncate(kept);
     }
 
-    /// The ROB slot of a queued instruction.
-    ///
-    /// The IQ never holds an entry whose ROB slot is gone, nor one that
-    /// has left `Stage::Dispatched`: rename enqueues an entry together
-    /// with its `Dispatched` ROB slot (skip-validation entries, born
-    /// `Done`, are never enqueued); issue dequeues it as it leaves
-    /// `Dispatched`; commit retires only `Done` entries; a squash pops
-    /// exactly the ROB entries younger than the squashing `seq` and
-    /// drops the same ones from the IQ; a reboot drops all of a
-    /// thread's entries from both. So readiness may be checked from the
-    /// IQ copy before the ROB is consulted.
-    fn queued_index(&self, q: &IqEntry) -> usize {
-        let t = &self.threads[q.thread];
-        let idx = (q.seq - t.rob_head_seq) as usize;
-        debug_assert!(
-            t.rob
-                .get(idx)
-                .is_some_and(|e| e.seq == q.seq && e.stage == Stage::Dispatched),
-            "IQ entry (thread {}, seq {}) without a live dispatched ROB slot",
-            q.thread,
-            q.seq
-        );
-        idx
-    }
-
     /// Issues a queued instruction if it can go this cycle; returns
     /// whether it did.
     fn try_issue(&mut self, q: IqEntry) -> bool {
         let cycle = self.cycle;
-        if q.dispatch_cycle >= cycle
-            || q.src
-                .iter()
-                .flatten()
-                .any(|&p| !self.prf.is_ready(p, cycle))
-        {
+        let Core {
+            cfg,
+            mem,
+            threads,
+            prf,
+            fus,
+            counters,
+            ..
+        } = self;
+        let ready = |src: Option<u16>| src.is_none_or(|p| prf.is_ready(p, cycle));
+        if q.dispatch_cycle >= cycle || !ready(q.src[0]) || !ready(q.src[1]) {
             return false;
         }
-        let (tid, seq) = (q.thread, q.seq);
-        let idx = self.queued_index(&q);
-        let (inst, pc, dest_new, vpred) = {
-            let e = &self.threads[tid].rob[idx];
-            (e.inst, e.pc, e.dest_new, e.vpred)
-        };
+        let t = &mut threads[q.thread];
+        let e = t.queued(&q);
+        let (inst, pc, dest_new, vpred, sq_pos) = (e.inst, e.pc, e.dest_new, e.vpred, e.sq_pos);
         let class = inst.fu_class();
-        if !self.fu_available(class) {
+        if !fus.available(cfg, class, cycle) {
             return false;
         }
         let prefetch_only = inst.is_load()
-            && self.threads[tid]
-                .filter
+            && t.filter
                 .as_ref()
-                .map(|f| f.borrow_mut().prefetch_only(pc))
-                .unwrap_or(false);
-        if inst.is_load() && !prefetch_only && !self.load_may_issue(tid, seq) {
-            return false;
+                .is_some_and(|f| f.borrow_mut().prefetch_only(pc));
+        if inst.is_load() && !prefetch_only && !t.store_queue.load_may_issue(q.seq) {
+            return false; // an older store's address is unresolved
         }
-        let a = q.src[0].map(|p| self.prf.read(p)).unwrap_or(0);
-        let b = q.src[1].map(|p| self.prf.read(p)).unwrap_or(0);
-        self.counters
+        let a = q.src[0].map(|p| prf.read(p)).unwrap_or(0);
+        let b = q.src[1].map(|p| prf.read(p)).unwrap_or(0);
+        counters
             .rf_reads
-            .add(q.src.iter().flatten().count() as u64);
-        self.counters.executed.inc();
+            .add(u64::from(q.src[0].is_some()) + u64::from(q.src[1].is_some()));
+        counters.executed.inc();
         let seq_pc = pc + INST_BYTES;
         let mut result: Option<u64> = None;
         let mut actual_taken: Option<bool> = None;
         let mut actual_next = seq_pc;
         let mut exec_done = cycle + inst.latency();
         let mut addr = None;
-        let mut store_val = None;
         let mut flags = (false, false, false);
         match inst.op {
             Op::Ld => {
                 let a_addr = mem_addr(&inst, a);
                 addr = Some(a_addr);
-                let (ready, value, fl) = self.execute_load(tid, seq, a_addr, pc);
+                // Forward from the youngest older store to the address,
+                // else access the data cache.
+                let (ready, value) = match t.store_queue.forward(q.seq, a_addr) {
+                    Some(v) => (cycle + 2, v),
+                    None => {
+                        let value = t.mem.borrow_mut().load(a_addr);
+                        let out = mem.load(a_addr, pc, cycle);
+                        flags = (!out.l1_hit, !out.l2_hit, out.tlb_penalty > 0);
+                        (out.ready.max(cycle + 1), value)
+                    }
+                };
                 // Prefetch payloads (skeleton loads with dead results)
                 // touch the memory system but never stall the pipeline.
                 exec_done = if prefetch_only { cycle + 3 } else { ready };
                 result = Some(value);
-                flags = fl;
             }
             Op::St => {
                 let a_addr = mem_addr(&inst, a);
                 addr = Some(a_addr);
-                store_val = Some(b);
+                t.store_queue.resolve(sq_pos, a_addr, b);
                 exec_done = cycle + 1;
             }
             Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
                 let mut taken = eval_cond(inst.op, a, b);
-                if let Some(ov) = &self.threads[tid].branch_override {
+                if let Some(ov) = &t.branch_override {
                     if let Some(forced) = ov.borrow().force(pc) {
                         taken = forced;
                     }
@@ -1097,11 +1191,11 @@ impl Core {
             }
         }
         if inst.is_load() {
-            self.counters.loads.inc();
+            counters.loads.inc();
         } else if inst.is_store() {
-            self.counters.stores.inc();
+            counters.stores.inc();
         }
-        self.fu_consume(class, exec_done);
+        fus.consume(class, cycle, exec_done);
         // Write the PRF early; readiness gates visibility. For correctly
         // value-predicted instructions, keep the early availability the
         // prediction established (same value, earlier ready).
@@ -1109,77 +1203,24 @@ impl Core {
             match vpred {
                 Some(pv) if pv == v => {} // prediction already in place
                 _ => {
-                    self.prf.write(p, v, exec_done);
-                    self.counters.rf_writes.inc();
+                    prf.write(p, v, exec_done);
+                    counters.rf_writes.inc();
                 }
             }
         }
-        let t = &mut self.threads[tid];
-        t.executing.push((seq, exec_done));
-        let en = &mut t.rob[idx];
+        t.executing.push((q.seq, exec_done));
+        t.next_done = t.next_done.min(exec_done);
+        let en = t.rob.at_mut(q.seq);
         en.stage = Stage::Issued;
         en.exec_done = exec_done;
         en.result = result;
         en.actual_taken = actual_taken;
         en.actual_next_pc = actual_next;
         en.addr = addr;
-        en.store_val = store_val;
         en.l1_miss = flags.0;
         en.l2_miss = flags.1;
         en.tlb_miss = flags.2;
         true
-    }
-
-    fn load_may_issue(&self, tid: usize, seq: u64) -> bool {
-        let t = &self.threads[tid];
-        for &sseq in &t.store_queue {
-            if sseq >= seq {
-                break;
-            }
-            let idx = (sseq - t.rob_head_seq) as usize;
-            if t.rob[idx].addr.is_none() {
-                return false; // unresolved older store address
-            }
-        }
-        true
-    }
-
-    /// Executes a load: forwards from the store queue when possible,
-    /// otherwise accesses the data cache. Returns `(ready, value,
-    /// (l1_miss, l2_miss, tlb_miss))`.
-    fn execute_load(
-        &mut self,
-        tid: usize,
-        seq: u64,
-        addr: u64,
-        pc: u64,
-    ) -> (u64, u64, (bool, bool, bool)) {
-        let cycle = self.cycle;
-        let mut forwarded: Option<u64> = None;
-        {
-            let t = &self.threads[tid];
-            for &sseq in t.store_queue.iter().rev() {
-                if sseq >= seq {
-                    continue;
-                }
-                let idx = (sseq - t.rob_head_seq) as usize;
-                let se = &t.rob[idx];
-                if se.addr == Some(addr) {
-                    forwarded = se.store_val;
-                    break;
-                }
-            }
-        }
-        if let Some(v) = forwarded {
-            return (cycle + 2, v, (false, false, false));
-        }
-        let value = self.threads[tid].mem.borrow_mut().load(addr);
-        let out = self.mem.load(addr, pc, cycle);
-        (
-            out.ready.max(cycle + 1),
-            value,
-            (!out.l1_hit, !out.l2_hit, out.tlb_penalty > 0),
-        )
     }
 
     // ------------------------------------------------------------------
@@ -1202,8 +1243,8 @@ impl Core {
             let depth = self.cfg.frontend_depth;
             let t = &mut self.threads[tid];
             while drain_budget > 0 && t.decoding < pipe_cap && t.fetch_buffered() > 0 {
-                let slot = t.decoding;
-                t.front_end[slot].decode_ready = cycle + depth;
+                let pos = t.front_end.head() + t.decoding as u64;
+                t.front_end.at_mut(pos).decode_ready = cycle + depth;
                 t.decoding += 1;
                 drain_budget -= 1;
             }
@@ -1241,45 +1282,48 @@ impl Core {
             && self.iq.len() < self.cfg.iq_size
     }
 
+    /// Renames the decode pipe's head into a ROB slot, filled in place.
     fn rename_one(&mut self, tid: usize, iq_free: &mut usize, prf_free: &mut usize) -> bool {
         let cycle = self.cycle;
         if *iq_free == 0 || *prf_free == 0 {
             return false;
         }
-        {
-            let t = &self.threads[tid];
-            if t.rob.len() >= self.cfg.rob_size {
-                return false;
-            }
-            let Some(f) = t.decode_head() else {
-                return false;
-            };
-            if f.decode_ready > cycle {
-                return false;
-            }
-            if f.inst.is_store() && t.store_queue.len() >= self.cfg.lsq_size {
-                return false;
-            }
+        let Core {
+            cfg,
+            threads,
+            prf,
+            iq,
+            counters,
+            ..
+        } = self;
+        let t = &mut threads[tid];
+        if t.rob.len() >= cfg.rob_size {
+            return false;
         }
-        let t = &mut self.threads[tid];
-        let f = t.front_end.pop_front().expect("presence checked");
-        t.decoding -= 1;
+        let Some(f) = t.decode_head() else {
+            return false;
+        };
+        if f.decode_ready > cycle {
+            return false;
+        }
+        if f.inst.is_store() && t.store_queue.len() >= cfg.lsq_size {
+            return false;
+        }
+        let (pc, inst) = (f.pc, f.inst);
         // Value-prediction lookup (main-thread value reuse).
         let mut vpred = None;
         if let Some(src) = &t.value_source {
-            vpred = src
-                .borrow_mut()
-                .predict(f.pc, f.branch_tag, f.branch_offset);
+            vpred = src.borrow_mut().predict(pc, f.branch_tag, f.branch_offset);
         }
-        let seq = t.next_seq;
-        t.next_seq += 1;
+        let seq = t.rob.tail();
+        let uses = inst.uses();
         let src = [
-            f.inst.uses()[0].map(|r| t.rat[r.index()]),
-            f.inst.uses()[1].map(|r| t.rat[r.index()]),
+            uses[0].map(|r| t.rat[r.index()]),
+            uses[1].map(|r| t.rat[r.index()]),
         ];
-        let (dest_new, dest_old) = match f.inst.def() {
+        let (dest_new, dest_old) = match inst.def() {
             Some(rd) => {
-                let p = self.prf.alloc().expect("availability checked");
+                let p = prf.alloc().expect("availability checked");
                 *prf_free -= 1;
                 let old = t.rat[rd.index()];
                 t.rat[rd.index()] = p;
@@ -1292,70 +1336,93 @@ impl Core {
         // itself has a value prediction need not execute for validation.
         let mut skip_validation = false;
         if let Some(v) = vpred {
-            self.counters.value_predictions.inc();
-            let alu_like = !f.inst.is_mem() && !f.inst.is_branch();
-            let n_sources = f.inst.uses().iter().flatten().count();
-            let all_sources_validated = f
-                .inst
-                .uses()
-                .iter()
-                .flatten()
-                .all(|r| t.validated[r.index()]);
+            counters.value_predictions.inc();
+            let alu_like = !inst.is_mem() && !inst.is_branch();
+            let n_sources = uses.iter().flatten().count();
+            let all_sources_validated = uses.iter().flatten().all(|r| t.validated[r.index()]);
             if alu_like && n_sources > 0 && all_sources_validated {
                 skip_validation = true;
-                self.counters.value_validation_skips.inc();
+                counters.value_validation_skips.inc();
             }
             if let Some(p) = dest_new {
-                self.prf.write(p, v, cycle + 1);
-                self.counters.rf_writes.inc();
+                prf.write(p, v, cycle + 1);
+                counters.rf_writes.inc();
             }
         }
-        if let Some(rd) = f.inst.def() {
+        if let Some(rd) = inst.def() {
             t.validated[rd.index()] = vpred.is_some();
         }
-        let is_store = f.inst.is_store();
-        t.rob.push_back(RobEntry {
-            seq,
-            pc: f.pc,
-            inst: f.inst,
-            stage: if skip_validation {
-                Stage::Done
-            } else {
-                Stage::Dispatched
-            },
-            exec_done: if skip_validation { cycle + 1 } else { u64::MAX },
-            dest_new,
-            dest_old,
-            src,
-            pred_next_pc: f.pred_next_pc,
-            actual_taken: None,
-            actual_next_pc: f.pc + INST_BYTES,
-            dir_snapshot: f.dir_snapshot,
-            ras_snapshot: f.ras_snapshot,
-            branch_tag: f.branch_tag,
-            branch_offset: f.branch_offset,
-            addr: None,
-            store_val: None,
-            l1_miss: false,
-            l2_miss: false,
-            tlb_miss: false,
-            vpred: if skip_validation { None } else { vpred },
-            result: vpred,
-            dispatch_cycle: cycle,
-        });
-        if is_store {
-            t.store_queue.push_back(seq);
-        }
-        self.counters.rob_writes.inc();
+        let sq_pos = if inst.is_store() {
+            t.store_queue.push(seq)
+        } else {
+            0
+        };
+        // Every field is written: the slot still holds a retired entry.
+        let f = t.front_end.at_mut(t.front_end.head());
+        let RobEntry {
+            pc: e_pc,
+            inst: e_inst,
+            stage,
+            exec_done,
+            dest_new: e_dest_new,
+            dest_old: e_dest_old,
+            src: e_src,
+            pred_next_pc,
+            actual_taken,
+            actual_next_pc,
+            dir_snapshot,
+            ras_snapshot,
+            branch_tag,
+            branch_offset,
+            addr,
+            sq_pos: e_sq_pos,
+            l1_miss,
+            l2_miss,
+            tlb_miss,
+            vpred: e_vpred,
+            result,
+            dispatch_cycle,
+        } = t.rob.push_back();
+        *e_pc = pc;
+        *e_inst = inst;
+        *stage = if skip_validation {
+            Stage::Done
+        } else {
+            Stage::Dispatched
+        };
+        *exec_done = if skip_validation { cycle + 1 } else { u64::MAX };
+        *e_dest_new = dest_new;
+        *e_dest_old = dest_old;
+        *e_src = src;
+        *pred_next_pc = f.pred_next_pc;
+        *actual_taken = None;
+        *actual_next_pc = pc + INST_BYTES;
+        *dir_snapshot = f.dir_snapshot;
+        // Hand the snapshot over without touching its count; the stale
+        // one left in the front-end slot is dropped when fetch reuses it.
+        std::mem::swap(ras_snapshot, &mut f.ras_snapshot);
+        *branch_tag = f.branch_tag;
+        *branch_offset = f.branch_offset;
+        *addr = None;
+        *e_sq_pos = sq_pos;
+        *l1_miss = false;
+        *l2_miss = false;
+        *tlb_miss = false;
+        *e_vpred = if skip_validation { None } else { vpred };
+        *result = vpred;
+        *dispatch_cycle = cycle;
+        t.front_end.pop_front();
+        t.decoding -= 1;
+        counters.rob_writes.inc();
         if !skip_validation {
-            self.iq.push(IqEntry {
+            iq.push(IqEntry {
                 thread: tid,
                 seq,
                 src,
                 dispatch_cycle: cycle,
             });
             *iq_free -= 1;
-            self.counters.iq_writes.inc();
+            counters.iq_writes.inc();
         }
         true
     }
@@ -1372,48 +1439,52 @@ impl Core {
 
     fn fetch_thread(&mut self, tid: usize) {
         let cycle = self.cycle;
-        if self.threads[tid].halted
-            || self.threads[tid].halted_fetch
-            || self.threads[tid].fetch_stall_until > cycle
-        {
+        let Core {
+            cfg,
+            program,
+            mem,
+            threads,
+            counters,
+            ..
+        } = self;
+        let t = &mut threads[tid];
+        if t.halted || t.halted_fetch || t.fetch_stall_until > cycle {
             return;
         }
         let mut pushed = 0usize;
         let mut slots = 0usize;
-        let max_slots = self.cfg.fetch_width * 2;
+        let max_slots = cfg.fetch_width * 2;
         let mut current_line = u64::MAX;
-        while pushed < self.cfg.fetch_width && slots < max_slots {
-            if self.threads[tid].fetch_buffered() >= self.cfg.fetch_buffer {
+        while pushed < cfg.fetch_width && slots < max_slots {
+            if t.fetch_buffered() >= cfg.fetch_buffer {
                 break;
             }
-            let pc = self.threads[tid].fetch_pc;
+            let pc = t.fetch_pc;
             // Decoded once here; consumed after the icache probe below.
-            let fetched = self.program.fetch(pc);
+            let fetched = program.fetch(pc);
             // Direction starvation (a BOQ-fed thread with an empty BOQ at
             // a conditional branch) stalls fetch before any cache or
             // predictor state is touched: the stalled cycles are then
             // perfectly quiescent, which is what lets `next_event_at`
             // prove the thread skippable while it waits for the queue.
             if let Some(inst) = &fetched {
-                if inst.is_cond_branch() && !self.threads[tid].dir.available() {
+                if inst.is_cond_branch() && !t.dir.available() {
                     return;
                 }
             }
             let line = pc & !63;
             if line != current_line {
-                let (ready, hit) = self.mem.inst_fetch(pc, cycle);
-                self.counters.icache_lines.inc();
-                if self.cfg.fetch_masks && !hit {
+                let (ready, hit) = mem.inst_fetch(pc, cycle);
+                counters.icache_lines.inc();
+                if cfg.fetch_masks && !hit {
                     // Skeleton masks (2 bits/inst) live elsewhere in the
                     // binary: one mask line covers 16 instruction lines.
                     // Fetch it alongside the instruction line on a miss.
                     let mask_addr = MASK_BASE + (line >> 4);
-                    let (mready, _mhit) = self.mem.inst_fetch(mask_addr & !63, cycle);
-                    let t = &mut self.threads[tid];
+                    let (mready, _mhit) = mem.inst_fetch(mask_addr & !63, cycle);
                     t.fetch_stall_until = t.fetch_stall_until.max(mready);
                 }
                 if !hit {
-                    let t = &mut self.threads[tid];
                     t.fetch_stall_until = t.fetch_stall_until.max(ready);
                     break;
                 }
@@ -1421,28 +1492,27 @@ impl Core {
             }
             let Some(inst) = fetched else {
                 // Ran off the binary (deep wrong path): wait for a squash.
-                self.threads[tid].halted_fetch = true;
+                t.halted_fetch = true;
                 return;
             };
             slots += 1;
             // Skeleton masking: deleted instructions consume a fetch slot
             // but never enter the fetch buffer (paper §III-A iii).
-            let mask_deleted = match &self.threads[tid].filter {
+            let mask_deleted = match &t.filter {
                 Some(filter) => !filter.borrow_mut().keep(pc),
                 None => false,
             };
             if mask_deleted {
-                self.counters.mask_deleted.inc();
-                self.threads[tid].fetch_pc = pc + INST_BYTES;
+                counters.mask_deleted.inc();
+                t.fetch_pc = pc + INST_BYTES;
                 continue;
             }
             let mut next_pc = pc + INST_BYTES;
             let mut is_taken_branch = false;
             let kind = inst.branch_kind();
             if matches!(kind, Some(BranchKind::Cond)) {
-                self.counters.bpred_lookups.inc();
+                counters.bpred_lookups.inc();
             }
-            let t = &mut self.threads[tid];
             let dir_snapshot = t.dir.snapshot();
             let ras_snapshot = t.ras_snapshot();
             match kind {
@@ -1503,19 +1573,28 @@ impl Core {
                 branch_tag = t.last_branch_tag;
                 branch_offset = t.cursor_offset;
             }
-            t.front_end.push_back(FetchedInst {
-                pc,
-                inst,
-                pred_next_pc: next_pc,
-                dir_snapshot,
-                ras_snapshot,
-                decode_ready: 0, // assigned when drained into the decode pipe
-                branch_tag,
-                branch_offset,
-            });
+            // Every field is written: the slot still holds a renamed entry.
+            let FetchedInst {
+                pc: f_pc,
+                inst: f_inst,
+                pred_next_pc,
+                dir_snapshot: f_dir_snapshot,
+                ras_snapshot: f_ras_snapshot,
+                decode_ready,
+                branch_tag: f_branch_tag,
+                branch_offset: f_branch_offset,
+            } = t.front_end.push_back();
+            *f_pc = pc;
+            *f_inst = inst;
+            *pred_next_pc = next_pc;
+            *f_dir_snapshot = dir_snapshot;
+            *f_ras_snapshot = ras_snapshot;
+            *decode_ready = 0; // assigned when drained into the decode pipe
+            *f_branch_tag = branch_tag;
+            *f_branch_offset = branch_offset;
             t.fetch_pc = next_pc;
             pushed += 1;
-            self.counters.fetched.inc();
+            counters.fetched.inc();
             if inst.op == Op::Halt {
                 t.halted_fetch = true;
                 break;
@@ -1524,9 +1603,94 @@ impl Core {
                 break; // one taken branch per cycle
             }
         }
-        self.threads[tid]
-            .stats
-            .fetched_per_cycle
-            .record(pushed as u64);
+        t.stats.fetched_per_cycle.record(pushed as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::iface::{BaseMem, PredictorDirection};
+    use r3dla_bpred::Tage;
+    use r3dla_isa::{ArchState, Asm, VecMem};
+    use r3dla_mem::{MemConfig, SharedLlc};
+
+    /// A chase of four dependent cold loads, so that nothing commits
+    /// for several DRAM round trips, then an endless loop of `stores`
+    /// stores and `alus` ALU instructions that fills the backend behind
+    /// it.
+    fn stalled_head_then_loop(stores: usize, alus: usize) -> Program {
+        let mut a = Asm::new();
+        let (p, x, one) = (Reg::int(10), Reg::int(11), Reg::int(12));
+        let chase = a.data().alloc_words(4 * 1024);
+        for k in 0..4u64 {
+            let next = chase + (k + 1) * 1024 * 8;
+            a.data().put_word(chase + k * 1024 * 8, next);
+        }
+        a.li(p, chase as i64);
+        a.li(one, 1);
+        for _ in 0..4 {
+            a.ld(p, p, 0);
+        }
+        a.label("loop");
+        for k in 0..stores {
+            a.st(one, x, 8 * k as i64);
+        }
+        for _ in 0..alus {
+            a.addi(x, x, 0);
+        }
+        a.blt(Reg::ZERO, one, "loop");
+        a.finish().expect("test program assembles")
+    }
+
+    /// Runs `prog` for `cycles` on a one-thread core; returns the peak
+    /// occupancy of its ROB, front end and store queue.
+    fn peak_occupancy(cfg: &CoreConfig, prog: Program, cycles: u64) -> (usize, usize, usize) {
+        let prog = Rc::new(prog);
+        let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
+        let mem = CoreMem::new(&MemConfig::paper(), shared);
+        let mut core = Core::new(cfg.clone(), Rc::clone(&prog), mem);
+        let vm = Rc::new(RefCell::new(VecMem::new()));
+        vm.borrow_mut().load_image(prog.image());
+        core.add_thread(
+            prog.entry(),
+            ArchState::new(prog.entry()).regs(),
+            Box::new(PredictorDirection::new(Box::new(Tage::paper()))),
+            Rc::new(RefCell::new(BaseMem(vm))),
+        );
+        let mut peak = (0, 0, 0);
+        for _ in 0..cycles {
+            core.step();
+            let t = &core.threads[0];
+            peak.0 = peak.0.max(t.rob.len());
+            peak.1 = peak.1.max(t.front_end.len());
+            peak.2 = peak.2.max(t.store_queue.len());
+        }
+        peak
+    }
+
+    /// Behind a stalled head, each ring fills to the bound the core
+    /// enforces on it, never past it, under the paper's core, the half
+    /// core and the wide SMT core: the ROB to `rob_size`, the store
+    /// queue to `lsq_size`, and the front end to the fetch buffer plus
+    /// the decode pipe.
+    #[test]
+    fn rings_fill_to_their_configured_capacity() {
+        for cfg in [
+            CoreConfig::paper(),
+            CoreConfig::half_core(),
+            CoreConfig::wide_smt(),
+        ] {
+            let cap = cfg.fetch_buffer + cfg.decode_width * cfg.frontend_depth as usize + 1;
+            let (rob, front_end, _) = peak_occupancy(&cfg, stalled_head_then_loop(0, 9), 600);
+            assert_eq!(rob, cfg.rob_size, "ROB under {cfg:?}");
+            assert_eq!(front_end, cap, "front end under {cfg:?}");
+            // Eight stores in ten fill the store queue before the ROB,
+            // and issue fast enough to leave the IQ room.
+            let (rob, front_end, sq) = peak_occupancy(&cfg, stalled_head_then_loop(8, 1), 600);
+            assert_eq!(sq, cfg.lsq_size, "store queue under {cfg:?}");
+            assert!(rob < cfg.rob_size, "ROB under {cfg:?}: {rob}");
+            assert_eq!(front_end, cap, "front end under {cfg:?}");
+        }
     }
 }

@@ -57,6 +57,7 @@ mod core;
 mod counters;
 mod iface;
 mod prf;
+mod ring;
 
 pub use crate::core::{Core, ThreadStats, MASK_BASE};
 pub use config::{CoreConfig, CoreConfigBuilder};

@@ -1,22 +1,25 @@
 //! Bit-exact fingerprints of the detailed core on paths the CI report
 //! gates do not reach: RAS repair on mispredicted call/return paths in
-//! the profiling training run, and two hardware threads sharing one
+//! the profiling training run, the store queue's load ordering and
+//! forwarding in training runs, and two hardware threads sharing one
 //! wide SMT core.
 //!
-//! The constants were taken from a release build of the model before
-//! the core's host-cost rework (shared RAS snapshots, ROB-free issue
-//! checks, the executing list) and must not move under host-cost
-//! changes. An intended model change must update them, and say so in
-//! its change notes.
+//! Each constant was taken from a release build of the model before
+//! the host-cost change that it guards (shared RAS snapshots, ROB-free
+//! issue checks and the executing list; then in-place rings and the
+//! store-queue cursor) and must not move under host-cost changes. An
+//! intended model change must update them, and say so in its change
+//! notes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use r3dla::bpred::Tage;
-use r3dla::core::{profile, DlaConfig};
-use r3dla::cpu::{BaseMem, Core, CoreConfig, PredictorDirection};
+use r3dla::core::{profile, timing_budget, DlaConfig};
+use r3dla::cpu::{BaseMem, CommitRecord, CommitSink, Core, CoreConfig, PredictorDirection};
 use r3dla::isa::{ArchState, BranchKind, Program, VecMem};
 use r3dla::mem::{CoreMem, MemConfig, SharedLlc};
+use r3dla::prefetch::by_name as by_prefetcher;
 use r3dla::workloads::{by_name, Scale};
 use r3dla_bench::measure_smt;
 
@@ -57,6 +60,74 @@ fn training_run_latencies_are_pinned() {
         let prof = profile(&prog, DlaConfig::dla().profile_insts);
         let got = fnv(prof.avg_d2e.iter().map(|x| x.to_bits()));
         assert_eq!(got, want, "{name}: avg_d2e fingerprint {got:#018x}");
+    }
+}
+
+/// Folds every committed instruction's outcome into one FNV-1a word.
+struct StreamSink(u64);
+
+impl CommitSink for StreamSink {
+    fn on_commit(&mut self, r: &CommitRecord) {
+        let words = [
+            r.pc,
+            r.cycle,
+            r.value.unwrap_or(u64::MAX),
+            r.mem_addr.unwrap_or(u64::MAX),
+            u64::from(r.l1_miss),
+            r.dispatch_to_exec,
+        ];
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// The committed stream of a workload's training run: the core, memory
+/// and budget `profile` uses, with a sink on every commit.
+fn training_stream(name: &str) -> u64 {
+    let prog = Rc::new(tiny_program(name));
+    let mem_cfg = MemConfig::paper();
+    let shared = Rc::new(RefCell::new(SharedLlc::new(&mem_cfg)));
+    let mut mem = CoreMem::new(&mem_cfg, shared);
+    mem.set_l2_prefetcher(by_prefetcher("bop").expect("known prefetcher"));
+    let mut core = Core::new(CoreConfig::paper(), Rc::clone(&prog), mem);
+    let vm = Rc::new(RefCell::new(VecMem::new()));
+    vm.borrow_mut().load_image(prog.image());
+    let t = core.add_thread(
+        prog.entry(),
+        ArchState::new(prog.entry()).regs(),
+        Box::new(PredictorDirection::new(Box::new(Tage::paper()))),
+        Rc::new(RefCell::new(BaseMem(vm))),
+    );
+    let sink = Rc::new(RefCell::new(StreamSink(0xcbf2_9ce4_8422_2325)));
+    core.set_commit_sink(t, sink.clone());
+    let budget = timing_budget(DlaConfig::dla().profile_insts);
+    let max_cycles = budget * 30;
+    let mut last_probe = u64::MAX;
+    while !core.halted() && core.committed(t) < budget && core.cycle() < max_cycles {
+        core.step_or_skip(max_cycles, &mut last_probe);
+    }
+    let h = sink.borrow().0;
+    h
+}
+
+/// The store queue's two rules, pinned on training runs. A load waits
+/// while an older store's address is unknown: `is_like`'s histogram
+/// loop loads a bucket, increments it and stores it back, so each load
+/// waits for the previous iteration's store. And a load forwards from
+/// the youngest older store to its address: `gobmk_like` has loads with
+/// several such stores in flight.
+#[test]
+fn store_queue_training_runs_are_pinned() {
+    for (name, want) in [
+        ("is_like", 0xc7c3_6ce4_7679_999au64),
+        ("gobmk_like", 0xd0d9_0be0_9196_7012u64),
+    ] {
+        let got = training_stream(name);
+        assert_eq!(
+            got, want,
+            "{name}: committed-stream fingerprint {got:#018x}"
+        );
     }
 }
 
