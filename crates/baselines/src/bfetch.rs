@@ -187,7 +187,7 @@ impl BFetchSim {
                 self.sim.core_mut().mem_mut().prefetch_into_l1(addr, cycle);
             }
         }
-        self.sim.core_mut().step();
+        self.sim.step();
     }
 
     /// Event-source surface for the run loop: `None` when the next cycle
@@ -205,7 +205,7 @@ impl BFetchSim {
         if self.sim.core().committed(0) != self.last_restart_commits {
             return None;
         }
-        self.sim.core().next_event_at()
+        self.sim.next_event_at()
     }
 
     /// Runs until `target` instructions commit (bounded by `max_cycles`).

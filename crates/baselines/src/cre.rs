@@ -175,12 +175,9 @@ impl CreSim {
             Some("bop"),
         );
         let tracker = Rc::new(RefCell::new(MissTracker::default()));
-        sim.core_mut().set_commit_sink(
-            0,
-            Rc::new(RefCell::new(TrackerSink {
-                tracker: tracker.clone(),
-            })),
-        );
+        sim.set_observer(Rc::new(RefCell::new(TrackerSink {
+            tracker: tracker.clone(),
+        })));
         // The engine reads committed memory: mirror the image.
         let arch_mem = Rc::new(RefCell::new(VecMem::new()));
         arch_mem.borrow_mut().load_image(program.image());
@@ -246,7 +243,7 @@ impl CreSim {
             self.sim.core_mut().mem_mut().prefetch_into_l1(addr, cycle);
             self.prefetches += 1;
         }
-        self.sim.core_mut().step();
+        self.sim.step();
     }
 
     /// Event-source surface for the run loop: `None` when the next cycle
@@ -271,7 +268,7 @@ impl CreSim {
         if !exhausted {
             return None;
         }
-        let wake = self.sim.core().next_event_at()?;
+        let wake = self.sim.next_event_at()?;
         Some(wake.min(self.last_dispatch + self.redispatch_interval))
     }
 

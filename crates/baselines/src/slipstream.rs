@@ -44,7 +44,7 @@ pub fn slipstream_system(built: &BuiltWorkload) -> DlaSystem {
     let single = SkeletonSet {
         versions: vec![a_stream],
     };
-    DlaSystem::assemble(program, cfg, single, prof)
+    DlaSystem::assemble(Rc::unwrap_or_clone(program), cfg, single, prof)
 }
 
 #[cfg(test)]
@@ -65,8 +65,7 @@ mod tests {
     fn a_stream_is_reduced() {
         let wl = by_name("hmmer_like").unwrap().build(Scale::Tiny);
         let sys = slipstream_system(&wl);
-        let active = sys.active_skeleton();
-        let d = active.borrow().set().versions[0].density();
+        let d = sys.active_skeleton().set().versions[0].density();
         assert!(d < 1.0, "A-stream must drop something, density={d}");
     }
 }

@@ -16,8 +16,7 @@ fn main() {
         move |p| {
             let mut sys = p.dla_system(DlaConfig::r3());
             sys.run_until_mt(warm + win, (warm + win) * 60 + 1_000_000);
-            let active = sys.active_skeleton();
-            let usage = active.borrow().usage.clone();
+            let usage = &sys.active_skeleton().usage;
             let total: u64 = usage.iter().sum::<u64>().max(1);
             usage.iter().map(|&u| u as f64 / total as f64).collect()
         },

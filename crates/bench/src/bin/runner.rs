@@ -7,6 +7,8 @@
 //!        [--timing] [--timing-out FILE] [--no-skip]
 //!        [--filter W[/C]] [--list] [--progress]
 //!        [--sample k:U:W] [--check-against FILE] [--check-tolerance T]
+//! --warm/--window default to 40000/150000 at train and ref scale, and to
+//! 0/1000000000 (each program whole, to Halt) at tiny scale.
 //! ```
 //!
 //! `--help` (or `-h`) prints that usage block and exits.
@@ -41,9 +43,9 @@
 //! `--check-tolerance` relative bias budget (default 0.25 — the CI only
 //! covers sampling variance; see `check_against_reference`).
 
-use r3dla_bench::runner::{run_grid, scale_by_name, ConfigSpec, GridSpec};
+use r3dla_bench::runner::{default_warm_window, run_grid, scale_by_name, ConfigSpec, GridSpec};
 use r3dla_bench::sampled::{check_against_reference, run_grid_sampled};
-use r3dla_bench::{arg_f64, arg_flag, arg_str, arg_threads, arg_u64, FaultPlan, WARMUP, WINDOW};
+use r3dla_bench::{arg_f64, arg_flag, arg_str, arg_threads, arg_u64, FaultPlan};
 use r3dla_core::dynamic_length;
 use r3dla_sample::SampleSpec;
 use r3dla_workloads::{by_name, suite, Scale, Workload};
@@ -54,7 +56,9 @@ runner [--scale tiny|train|ref] [--threads N] [--warm N] [--window N]
        [--workloads a,b,c] [--configs bl,dla,r3,...] [--out FILE]
        [--timing] [--timing-out FILE] [--no-skip]
        [--filter W[/C]] [--list] [--progress]
-       [--sample k:U:W] [--check-against FILE] [--check-tolerance T]";
+       [--sample k:U:W] [--check-against FILE] [--check-tolerance T]
+--warm/--window default to 40000/150000 at train and ref scale, and to
+0/1000000000 (each program whole, to Halt) at tiny scale.";
 
 fn main() {
     if arg_flag("--help") || arg_flag("-h") {
@@ -80,8 +84,8 @@ fn main() {
         None => Scale::Ref,
     };
     let threads = arg_threads();
-    let warm = arg_u64("--warm", WARMUP);
-    let win = arg_u64("--window", WINDOW);
+    let (warm, win) = default_warm_window(scale);
+    let (warm, win) = (arg_u64("--warm", warm), arg_u64("--window", win));
     let mut workloads: Vec<Workload> = match arg_str("--workloads") {
         Some(list) => list
             .split(',')

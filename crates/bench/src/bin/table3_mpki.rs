@@ -82,7 +82,7 @@ fn main() {
                     strided_pcs: pcs.clone(),
                     ..Default::default()
                 }));
-                sim.core_mut().set_commit_sink(0, sink.clone());
+                sim.set_observer(sink.clone());
                 sim.run_until(warm, warm * 60 + 500_000);
                 sink.borrow_mut().active = true;
                 sim.run_until(win, win * 60 + 500_000);

@@ -16,8 +16,8 @@ use r3dla_core::{
     generate_skeletons, profile_functional, profile_timing, timing_budget, Dataflow, DlaConfig,
     DlaSystem, ProfileData, SingleCoreSim, SkeletonOptions, SkeletonSet, WindowReport,
 };
-use r3dla_cpu::{BaseMem, Core, CoreConfig, PredictorDirection};
-use r3dla_isa::{ArchState, Program, VecMem};
+use r3dla_cpu::{BaseHooks, Core, CoreConfig};
+use r3dla_isa::{ArchState, Program};
 use r3dla_mem::{CoreMem, MemConfig, SharedLlc};
 use r3dla_workloads::{suite, BuiltWorkload, Scale, Suite, Workload};
 
@@ -45,6 +45,8 @@ pub const WINDOW: u64 = 150_000;
 /// pool and shares them by reference across measurement threads. The
 /// non-thread-safe simulation state (`Rc`/`RefCell` inside [`DlaSystem`])
 /// is only created per-cell, inside one thread, by [`Prepared::dla_system`].
+/// The program, profile and skeleton sets are read-only and behind `Arc`s,
+/// so a cell's system shares them instead of copying them.
 pub struct Prepared {
     /// Kernel name.
     pub name: String,
@@ -57,11 +59,11 @@ pub struct Prepared {
     /// search sweeps [`SkeletonOptions`] thresholds).
     pub dataflow: Dataflow,
     /// Training profile.
-    pub profile: ProfileData,
+    pub profile: Arc<ProfileData>,
     /// Skeletons with T1 offload applied.
-    pub skeletons_t1: SkeletonSet,
+    pub skeletons_t1: Arc<SkeletonSet>,
     /// Skeletons without T1 offload (baseline DLA).
-    pub skeletons_plain: SkeletonSet,
+    pub skeletons_plain: Arc<SkeletonSet>,
     built: BuiltWorkload,
 }
 
@@ -110,25 +112,36 @@ impl Prepared {
             suite: w.suite,
             program,
             dataflow: df,
-            profile: prof,
-            skeletons_t1,
-            skeletons_plain,
+            profile: Arc::new(prof),
+            skeletons_t1: Arc::new(skeletons_t1),
+            skeletons_plain: Arc::new(skeletons_plain),
             built,
         }
     }
 
     /// Generates a skeleton set under non-default options, reusing the
     /// stored dataflow analysis and training profile. With default
-    /// options this returns a clone of the precomputed set.
-    pub fn skeletons_for(&self, opt: &SkeletonOptions, t1: bool) -> SkeletonSet {
+    /// options this returns the precomputed set.
+    pub fn skeletons_for(&self, opt: &SkeletonOptions, t1: bool) -> Arc<SkeletonSet> {
         if *opt == SkeletonOptions::default() {
-            return if t1 {
-                self.skeletons_t1.clone()
-            } else {
-                self.skeletons_plain.clone()
-            };
+            return Arc::clone(self.default_skeletons(t1));
         }
-        generate_skeletons(&self.program, &self.dataflow, &self.profile, opt, t1)
+        Arc::new(generate_skeletons(
+            &self.program,
+            &self.dataflow,
+            &self.profile,
+            opt,
+            t1,
+        ))
+    }
+
+    /// The precomputed skeleton set with or without T1 offload.
+    fn default_skeletons(&self, t1: bool) -> &Arc<SkeletonSet> {
+        if t1 {
+            &self.skeletons_t1
+        } else {
+            &self.skeletons_plain
+        }
     }
 
     /// The built workload (for single-core and baseline systems).
@@ -138,37 +151,25 @@ impl Prepared {
 
     /// Assembles a DLA system with the pre-computed analysis.
     pub fn dla_system(&self, cfg: DlaConfig) -> DlaSystem {
-        let set = if cfg.t1 {
-            &self.skeletons_t1
-        } else {
-            &self.skeletons_plain
-        };
+        let set = Arc::clone(self.default_skeletons(cfg.t1));
         DlaSystem::assemble(
-            Rc::new((*self.program).clone()),
+            Arc::clone(&self.program),
             cfg,
-            set.clone(),
-            self.profile.clone(),
+            set,
+            Arc::clone(&self.profile),
         )
     }
 
     /// Assembles a DLA system over an externally owned shared LLC/DRAM —
     /// the multi-tenant path: assemble several systems over the same
     /// handle and host them in one [`r3dla_core::Cluster`].
-    pub fn dla_system_shared(
-        &self,
-        cfg: DlaConfig,
-        shared: Rc<std::cell::RefCell<SharedLlc>>,
-    ) -> DlaSystem {
-        let set = if cfg.t1 {
-            &self.skeletons_t1
-        } else {
-            &self.skeletons_plain
-        };
+    pub fn dla_system_shared(&self, cfg: DlaConfig, shared: Rc<RefCell<SharedLlc>>) -> DlaSystem {
+        let set = Arc::clone(self.default_skeletons(cfg.t1));
         DlaSystem::assemble_shared(
-            Rc::new((*self.program).clone()),
+            Arc::clone(&self.program),
             cfg,
-            set.clone(),
-            self.profile.clone(),
+            set,
+            Arc::clone(&self.profile),
             shared,
         )
     }
@@ -180,18 +181,8 @@ impl Prepared {
         cfg: DlaConfig,
         ckpt: &r3dla_isa::ArchCheckpoint,
     ) -> DlaSystem {
-        let set = if cfg.t1 {
-            &self.skeletons_t1
-        } else {
-            &self.skeletons_plain
-        };
-        DlaSystem::restore_from_checkpoint(
-            Rc::new((*self.program).clone()),
-            cfg,
-            set.clone(),
-            self.profile.clone(),
-            ckpt,
-        )
+        let set = Arc::clone(self.default_skeletons(cfg.t1));
+        self.dla_system_from_checkpoint_with(cfg, set, ckpt)
     }
 
     /// Like [`dla_system_from_checkpoint`](Self::dla_system_from_checkpoint)
@@ -201,14 +192,14 @@ impl Prepared {
     pub fn dla_system_from_checkpoint_with(
         &self,
         cfg: DlaConfig,
-        set: SkeletonSet,
+        set: impl Into<Arc<SkeletonSet>>,
         ckpt: &r3dla_isa::ArchCheckpoint,
     ) -> DlaSystem {
         DlaSystem::restore_from_checkpoint(
-            Rc::new((*self.program).clone()),
+            Arc::clone(&self.program),
             cfg,
             set,
-            self.profile.clone(),
+            Arc::clone(&self.profile),
             ckpt,
         )
     }
@@ -284,33 +275,26 @@ pub fn default_threads() -> usize {
 /// Runs an SMT throughput measurement: `copies` identical threads on the
 /// given core; returns aggregate committed instructions per cycle.
 pub fn measure_smt(built: &BuiltWorkload, core_cfg: CoreConfig, copies: usize, win: u64) -> f64 {
-    let program = Rc::new(built.program.clone());
+    let program = Arc::new(built.program.clone());
     let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
     let mut mem = CoreMem::new(&MemConfig::paper(), shared);
     if let Some(pf) = r3dla_prefetch::by_name("bop") {
         mem.set_l2_prefetcher(pf);
     }
-    let mut core = Core::new(core_cfg, Rc::clone(&program), mem);
-    for _ in 0..copies {
-        let vm = Rc::new(RefCell::new(VecMem::new()));
-        vm.borrow_mut().load_image(program.image());
-        let dir = Box::new(PredictorDirection::new(
-            Box::new(r3dla_bpred::Tage::paper()),
-        ));
-        core.add_thread(
-            program.entry(),
-            ArchState::new(program.entry()).regs(),
-            dir,
-            Rc::new(RefCell::new(BaseMem(vm))),
-        );
-    }
+    let mut core = Core::new(core_cfg, Arc::clone(&program), mem);
+    let mut hooks: Vec<BaseHooks> = (0..copies)
+        .map(|_| {
+            core.add_thread(program.entry(), ArchState::new(program.entry()).regs());
+            BaseHooks::new(&program)
+        })
+        .collect();
     // Warm then measure.
     let warm_target = WARMUP * copies as u64;
     while (0..copies).map(|t| core.committed(t)).sum::<u64>() < warm_target
         && !core.halted()
         && core.cycle() < warm_target * 60
     {
-        core.step();
+        core.step(&mut hooks);
     }
     let c0: u64 = (0..copies).map(|t| core.committed(t)).sum();
     let y0 = core.cycle();
@@ -319,7 +303,7 @@ pub fn measure_smt(built: &BuiltWorkload, core_cfg: CoreConfig, copies: usize, w
         && !core.halted()
         && core.cycle() - y0 < win * 120
     {
-        core.step();
+        core.step(&mut hooks);
     }
     let insts: u64 = (0..copies).map(|t| core.committed(t)).sum::<u64>() - c0;
     let cycles = core.cycle() - y0;

@@ -333,6 +333,21 @@ pub fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
+/// A window longer than any suite program at `Scale::Tiny`: a cell
+/// measured over it runs to `Halt`.
+pub const WHOLE_PROGRAM: u64 = 1_000_000_000;
+
+/// The runner's default `(warm, window)` at `scale`. Train and Ref warm
+/// over [`WARMUP`] and measure [`WINDOW`] instructions. Tiny programs can end inside that warmup
+/// (`gobmk_like` runs 26,232 instructions), so Tiny runs each one whole:
+/// no warmup, and a window that ends at `Halt`.
+pub fn default_warm_window(scale: Scale) -> (u64, u64) {
+    match scale {
+        Scale::Tiny => (0, WHOLE_PROGRAM),
+        Scale::Train | Scale::Ref => (WARMUP, WINDOW),
+    }
+}
+
 /// Parses a scale name accepted by the runner CLI.
 pub fn scale_by_name(name: &str) -> Option<Scale> {
     match name {
@@ -727,6 +742,17 @@ impl ExperimentResult {
 mod tests {
     use super::*;
     use r3dla_workloads::by_name;
+
+    /// The Tiny defaults fit every suite workload: nothing ends inside
+    /// the warmup, and every program halts inside the window.
+    #[test]
+    fn tiny_defaults_fit_every_workload() {
+        let (warm, win) = default_warm_window(Scale::Tiny);
+        for w in r3dla_workloads::suite() {
+            let len = r3dla_core::dynamic_length(&w.build(Scale::Tiny).program, win);
+            assert!(len > warm && len < win, "{}: {len} instructions", w.name);
+        }
+    }
 
     #[test]
     fn parallel_map_keeps_input_order() {

@@ -31,9 +31,9 @@ fn help_prints_the_module_doc_usage_and_exits_zero() {
     }
 }
 
-/// `gobmk_like` at tiny scale is shorter than the default 40k warm-up:
-/// the runner must refuse the grid up front instead of measuring a
-/// zero-commit cell.
+/// `gobmk_like` at tiny scale is shorter than a 40k warm-up (the
+/// Train/Ref default): the runner must refuse the grid up front instead
+/// of measuring a zero-commit cell.
 #[test]
 fn warmup_past_the_program_end_exits_two_before_preparing() {
     let out = Command::new(env!("CARGO_BIN_EXE_runner"))
@@ -44,6 +44,8 @@ fn warmup_past_the_program_end_exits_two_before_preparing() {
             "gobmk_like",
             "--configs",
             "bl",
+            "--warm",
+            "40000",
         ])
         .output()
         .expect("runner starts");

@@ -42,7 +42,12 @@ struct BtbEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: Vec<Vec<BtbEntry>>,
+    /// Every way of every set, set-major: set `s` is
+    /// `entries[s * ways..(s + 1) * ways]`.
+    entries: Vec<BtbEntry>,
+    ways: usize,
+    /// `sets - 1`, for set indexing.
+    set_mask: usize,
     stamp: u64,
     /// Lookup count.
     pub lookups: Counter,
@@ -60,25 +65,29 @@ impl Btb {
         let sets = (cfg.entries / cfg.ways).next_power_of_two();
         assert!(sets > 0, "BTB must have at least one set");
         Self {
-            sets: vec![vec![BtbEntry::default(); cfg.ways]; sets],
+            entries: vec![BtbEntry::default(); sets * cfg.ways],
+            ways: cfg.ways,
+            set_mask: sets - 1,
             stamp: 0,
             lookups: Counter::new(),
             misses: Counter::new(),
         }
     }
 
+    /// The ways of the set holding `pc`.
     #[inline]
-    fn set_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & (self.sets.len() - 1)
+    fn set_of(&mut self, pc: u64) -> &mut [BtbEntry] {
+        let start = (((pc >> 2) as usize) & self.set_mask) * self.ways;
+        &mut self.entries[start..start + self.ways]
     }
 
     /// Looks up the predicted target for the branch at `pc`.
     pub fn predict(&mut self, pc: u64) -> Option<u64> {
         self.lookups.inc();
-        let si = self.set_index(pc);
         self.stamp += 1;
         let stamp = self.stamp;
-        let hit = self.sets[si]
+        let hit = self
+            .set_of(pc)
             .iter_mut()
             .find(|e| e.valid && e.pc == pc)
             .map(|e| {
@@ -93,10 +102,9 @@ impl Btb {
 
     /// Installs or refreshes the target for `pc`.
     pub fn update(&mut self, pc: u64, target: u64) {
-        let si = self.set_index(pc);
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = &mut self.sets[si];
+        let set = self.set_of(pc);
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.pc == pc) {
             e.target = target;
             e.stamp = stamp;

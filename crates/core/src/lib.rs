@@ -9,15 +9,16 @@
 //! * [`profile`] / [`Dataflow`] / [`generate_skeletons`] — the offline
 //!   binary analysis of Appendix A: training-run profiling, reaching
 //!   definitions, backward slicing, seed heuristics;
-//! * [`Boq`] / [`FootnoteQueue`] / [`BoqDirection`] — the queues of
-//!   §III-A and the BOQ-fed main-thread front end;
+//! * [`Boq`] / [`FootnoteQueue`] — the queues of §III-A, which feed the
+//!   main thread's front end;
 //! * [`OverlayMem`] — look-ahead speculation containment;
 //! * [`T1`] — the strided-prefetch offload FSM of §III-C;
 //! * [`Sif`] / [`VrSource`] — value reuse of §III-D1;
 //! * [`ActiveSkeleton`] / [`RecycleController`] — skeleton recycling of
 //!   §III-E;
-//! * [`DlaSystem`] — the assembled two-core system; [`SingleCoreSim`] —
-//!   the conventional baseline;
+//! * [`DlaSystem`] — the assembled two-core system, which owns all of
+//!   the above in one link and lends it to each core's step as that
+//!   core's hooks; [`SingleCoreSim`] — the conventional baseline;
 //! * [`MeasureTarget`] — the one run loop and measurement surface both
 //!   systems implement; [`Cluster`] — the multi-tenant driver hosting N
 //!   systems (shared LLC/DRAM) under one global clock, dispatching the
@@ -40,6 +41,7 @@ mod cluster;
 mod dataflow;
 pub mod guard;
 mod limit;
+mod link;
 mod overlay;
 mod profile;
 mod queues;
@@ -59,7 +61,7 @@ pub use overlay::OverlayMem;
 pub use profile::{
     dynamic_length, profile, profile_functional, profile_timing, timing_budget, ProfileData,
 };
-pub use queues::{Boq, BoqDirection, BoqEntry, Footnote, FootnoteQueue};
+pub use queues::{Boq, BoqEntry, Footnote, FootnoteQueue};
 pub use recycle::{ActiveSkeleton, RecycleController, RecycleMode};
 pub use skeleton::{generate_skeletons, Skeleton, SkeletonOptions, SkeletonSet};
 pub use static_tune::{build_static_tuned, static_recycle_mode, static_tune};

@@ -2,28 +2,21 @@
 //! overlay on top of the shared architectural memory (paper §III-A i,
 //! "containment of speculation").
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use r3dla_cpu::ThreadMem;
 use r3dla_isa::{DataMem, FxHashMap, VecMem};
 
-/// LT's memory view: reads prefer LT's own (speculative) stores, falling
-/// back to the shared architectural memory; writes never escape the
-/// overlay — the software analogue of discard-dirty private caches.
-#[derive(Debug)]
+/// LT's speculative stores: reads prefer them, falling back to the
+/// shared architectural memory the caller passes in; writes never
+/// escape the overlay — the software analogue of discard-dirty private
+/// caches.
+#[derive(Debug, Default)]
 pub struct OverlayMem {
-    base: Rc<RefCell<VecMem>>,
     delta: FxHashMap<u64, u64>,
 }
 
 impl OverlayMem {
-    /// Creates an overlay over the shared memory.
-    pub fn new(base: Rc<RefCell<VecMem>>) -> Self {
-        Self {
-            base,
-            delta: FxHashMap::default(),
-        }
+    /// Creates an empty overlay.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Discards all speculative state (reboot).
@@ -35,18 +28,19 @@ impl OverlayMem {
     pub fn dirty_words(&self) -> usize {
         self.delta.len()
     }
-}
 
-impl ThreadMem for OverlayMem {
-    fn load(&mut self, addr: u64) -> u64 {
+    /// Loads the aligned word containing `addr`: LT's own store if it
+    /// made one, else `base`'s.
+    pub fn load(&self, base: &mut VecMem, addr: u64) -> u64 {
         let a = addr & !7;
         match self.delta.get(&a) {
             Some(&v) => v,
-            None => self.base.borrow_mut().load(a),
+            None => base.load(a),
         }
     }
 
-    fn store(&mut self, addr: u64, val: u64) {
+    /// Stores to the overlay only.
+    pub fn store(&mut self, addr: u64, val: u64) {
         self.delta.insert(addr & !7, val);
     }
 }
@@ -57,41 +51,41 @@ mod tests {
 
     #[test]
     fn reads_through_to_base() {
-        let base = Rc::new(RefCell::new(VecMem::new()));
-        base.borrow_mut().store(0x100, 7);
-        let mut ov = OverlayMem::new(Rc::clone(&base));
-        assert_eq!(ov.load(0x100), 7);
+        let mut base = VecMem::new();
+        base.store(0x100, 7);
+        let ov = OverlayMem::new();
+        assert_eq!(ov.load(&mut base, 0x100), 7);
     }
 
     #[test]
     fn writes_stay_speculative() {
-        let base = Rc::new(RefCell::new(VecMem::new()));
-        base.borrow_mut().store(0x100, 7);
-        let mut ov = OverlayMem::new(Rc::clone(&base));
+        let mut base = VecMem::new();
+        base.store(0x100, 7);
+        let mut ov = OverlayMem::new();
         ov.store(0x100, 99);
-        assert_eq!(ov.load(0x100), 99, "LT sees its own store");
-        assert_eq!(base.borrow_mut().load(0x100), 7, "MT never sees it");
+        assert_eq!(ov.load(&mut base, 0x100), 99, "LT sees its own store");
+        assert_eq!(base.load(0x100), 7, "MT never sees it");
         assert_eq!(ov.dirty_words(), 1);
     }
 
     #[test]
     fn clear_discards_speculation() {
-        let base = Rc::new(RefCell::new(VecMem::new()));
-        let mut ov = OverlayMem::new(Rc::clone(&base));
+        let mut base = VecMem::new();
+        let mut ov = OverlayMem::new();
         ov.store(0x200, 5);
         ov.clear();
-        assert_eq!(ov.load(0x200), 0);
+        assert_eq!(ov.load(&mut base, 0x200), 0);
         assert_eq!(ov.dirty_words(), 0);
     }
 
     #[test]
     fn base_updates_visible_unless_shadowed() {
-        let base = Rc::new(RefCell::new(VecMem::new()));
-        let mut ov = OverlayMem::new(Rc::clone(&base));
-        base.borrow_mut().store(0x300, 1);
-        assert_eq!(ov.load(0x300), 1);
+        let mut base = VecMem::new();
+        let mut ov = OverlayMem::new();
+        base.store(0x300, 1);
+        assert_eq!(ov.load(&mut base, 0x300), 1);
         ov.store(0x300, 2);
-        base.borrow_mut().store(0x300, 3); // MT commits a newer value
-        assert_eq!(ov.load(0x300), 2, "overlay shadows MT's update");
+        base.store(0x300, 3); // MT commits a newer value
+        assert_eq!(ov.load(&mut base, 0x300), 2, "overlay shadows MT's update");
     }
 }

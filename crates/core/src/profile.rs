@@ -6,9 +6,9 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use r3dla_bpred::Tage;
-use r3dla_cpu::{BaseMem, CommitRecord, CommitSink, Core, CoreConfig, PredictorDirection};
+use r3dla_cpu::{BaseHooks, CommitRecord, CommitSink, Core, CoreConfig};
 use r3dla_isa::{run, step, ArchState, MemKind, Program, VecMem};
 use r3dla_mem::{Cache, CacheConfig, CoreMem, MemConfig, SharedLlc};
 
@@ -167,7 +167,7 @@ pub fn profile_functional(prog: &Program, max_insts: u64) -> ProfileData {
 struct D2eSink {
     sum: Vec<f64>,
     count: Vec<u64>,
-    prog: Rc<Program>,
+    prog: Arc<Program>,
 }
 
 impl CommitSink for D2eSink {
@@ -188,30 +188,23 @@ pub fn profile_timing(prog: &Rc<Program>, data: &mut ProfileData, max_insts: u64
     if let Some(pf) = r3dla_prefetch::by_name("bop") {
         core_mem.set_l2_prefetcher(pf);
     }
-    let mut core = Core::new(CoreConfig::paper(), Rc::clone(prog), core_mem);
-    let vm = Rc::new(RefCell::new(VecMem::new()));
-    vm.borrow_mut().load_image(prog.image());
-    let dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-    let t = core.add_thread(
-        prog.entry(),
-        ArchState::new(prog.entry()).regs(),
-        dir,
-        Rc::new(RefCell::new(BaseMem(vm))),
-    );
-    let sink = Rc::new(RefCell::new(D2eSink {
+    let program = Arc::new(Program::clone(prog));
+    let mut core = Core::new(CoreConfig::paper(), Arc::clone(&program), core_mem);
+    let t = core.add_thread(prog.entry(), ArchState::new(prog.entry()).regs());
+    let sink = D2eSink {
         sum: vec![0.0; prog.len()],
         count: vec![0; prog.len()],
-        prog: Rc::clone(prog),
-    }));
-    core.set_commit_sink(t, sink.clone());
+        prog: program,
+    };
+    let mut hooks = [BaseHooks::with_sink(prog, sink)];
     let max_cycles = max_insts * 30; // generous bound
     let mut last_probe = u64::MAX;
     while !core.halted() && core.committed(t) < max_insts && core.cycle() < max_cycles {
         // Fast-forward quiescent stretches (cold-cache stalls dominate
         // the training run); identical results to stepping every cycle.
-        core.step_or_skip(max_cycles, &mut last_probe);
+        core.step_or_skip(&mut hooks, max_cycles, &mut last_probe);
     }
-    let sink = sink.borrow();
+    let sink = &hooks[0].sink;
     for i in 0..prog.len() {
         if sink.count[i] > 0 {
             data.avg_d2e[i] = sink.sum[i] / sink.count[i] as f64;

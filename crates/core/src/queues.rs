@@ -1,12 +1,7 @@
 //! The Branch Outcome Queue (BOQ) and Footnote Queue (FQ) connecting the
-//! look-ahead core to the main core (paper §III-A), plus the
-//! BOQ-driven fetch-direction source for the main thread.
+//! look-ahead core to the main core (paper §III-A). The main thread's
+//! fetch reads the BOQ through the system's link (`crate::link`).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use r3dla_cpu::FetchDirection;
-use r3dla_isa::FxHashMap;
 use r3dla_stats::Counter;
 
 /// One BOQ entry: a committed conditional-branch outcome from LT.
@@ -215,70 +210,6 @@ impl FootnoteQueue {
     }
 }
 
-/// MT's fetch-direction source: reads the BOQ instead of a predictor
-/// (paper §III-A: "its fetch unit draws branch direction predictions from
-/// the BOQ instead of its branch predictor").
-pub struct BoqDirection {
-    boq: Rc<RefCell<Boq>>,
-    /// Indirect-target hints delivered through the FQ.
-    pub ind_targets: Rc<RefCell<FxHashMap<u64, u64>>>,
-}
-
-impl BoqDirection {
-    /// Creates the source over a shared BOQ.
-    pub fn new(boq: Rc<RefCell<Boq>>, ind_targets: Rc<RefCell<FxHashMap<u64, u64>>>) -> Self {
-        Self { boq, ind_targets }
-    }
-}
-
-impl std::fmt::Debug for BoqDirection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BoqDirection").finish_non_exhaustive()
-    }
-}
-
-impl FetchDirection for BoqDirection {
-    fn name(&self) -> &str {
-        "boq"
-    }
-
-    fn predict(&mut self, _pc: u64) -> Option<bool> {
-        self.boq.borrow_mut().consume().map(|e| e.taken)
-    }
-
-    fn available(&self) -> bool {
-        self.boq.borrow().depth() > 0
-    }
-
-    fn indirect_target(&mut self, pc: u64) -> Option<u64> {
-        self.ind_targets.borrow().get(&pc).copied()
-    }
-
-    fn resolve(&mut self, _pc: u64, _taken: bool, mispredicted: bool) {
-        if mispredicted {
-            self.boq.borrow_mut().misfeed = true;
-        }
-    }
-
-    fn last_tag(&self) -> Option<u64> {
-        Some(self.boq.borrow().last_served_tag())
-    }
-
-    fn snapshot(&self) -> u64 {
-        self.boq.borrow().consume_cursor() as u64
-    }
-
-    fn restore(&mut self, snapshot: u64, resolved: Option<bool>) {
-        let mut boq = self.boq.borrow_mut();
-        boq.rewind(snapshot as usize);
-        if resolved.is_some() {
-            // The squashing instruction was itself a conditional branch;
-            // its entry stays consumed.
-            let _ = boq.consume();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,18 +282,6 @@ mod tests {
         fq.push(1, Footnote::TlbHint(2));
         assert_eq!(fq.len(), 1);
         assert_eq!(fq.dropped.get(), 1);
-    }
-
-    #[test]
-    fn boq_direction_stalls_on_empty_and_detects_misfeed() {
-        let boq = Rc::new(RefCell::new(Boq::new(4)));
-        let targets = Rc::new(RefCell::new(FxHashMap::default()));
-        let mut dir = BoqDirection::new(Rc::clone(&boq), targets);
-        assert_eq!(dir.predict(0x40), None, "empty BOQ must stall fetch");
-        boq.borrow_mut().push(true);
-        assert_eq!(dir.predict(0x40), Some(true));
-        dir.resolve(0x40, false, true);
-        assert!(boq.borrow().misfeed);
     }
 
     #[test]
@@ -464,19 +383,5 @@ mod tests {
         let mut out = Vec::new();
         fq.release_up_to(u64::MAX, &mut out);
         assert!(out.is_empty(), "flushed hints must never be released");
-    }
-
-    #[test]
-    fn boq_direction_snapshot_restore() {
-        let boq = Rc::new(RefCell::new(Boq::new(4)));
-        let targets = Rc::new(RefCell::new(FxHashMap::default()));
-        let mut dir = BoqDirection::new(Rc::clone(&boq), targets);
-        boq.borrow_mut().push(true);
-        boq.borrow_mut().push(false);
-        let snap = dir.snapshot();
-        dir.predict(0x40);
-        dir.predict(0x44);
-        dir.restore(snap, None);
-        assert_eq!(dir.predict(0x40), Some(true));
     }
 }

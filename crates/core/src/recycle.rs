@@ -3,36 +3,49 @@
 //! controller that searches skeleton versions per loop.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use r3dla_cpu::{BranchOverride, FetchFilter};
 use r3dla_isa::Program;
 use r3dla_stats::Counter;
 
 use crate::skeleton::SkeletonSet;
 
-/// The currently selected skeleton, shared between the LT fetch filter,
-/// the LT branch-override hook and the recycle controller.
+/// The currently selected skeleton, read by the LT fetch filter and
+/// branch override and by the MT's T1 S-bit check, and steered by the
+/// recycle controller.
 #[derive(Debug)]
 pub struct ActiveSkeleton {
-    set: SkeletonSet,
+    set: Arc<SkeletonSet>,
     active: usize,
     code_base: u64,
     n: usize,
+    /// Every version's bias-converted branch directions by instruction
+    /// index, version-major: `bias[v * n + i]`.
+    bias: Vec<Option<bool>>,
     /// Committed-instruction-weighted usage per version (Fig 15 data).
     pub usage: Vec<u64>,
 }
 
 impl ActiveSkeleton {
     /// Wraps a skeleton set; version 0 starts active.
-    pub fn new(set: SkeletonSet, prog: &Program) -> Self {
+    pub fn new(set: impl Into<Arc<SkeletonSet>>, prog: &Program) -> Self {
+        let set = set.into();
         let n = prog.len();
-        let versions = set.len();
+        let mut bias = vec![None; set.len() * n];
+        for (v, version) in set.versions.iter().enumerate() {
+            for (&pc, &taken) in &version.bias_override {
+                if let Some(i) = prog.pc_to_index(pc) {
+                    bias[v * n + i] = Some(taken);
+                }
+            }
+        }
         Self {
+            usage: vec![0; set.len()],
             set,
             active: 0,
             code_base: prog.code_base(),
             n,
-            usage: vec![0; versions],
+            bias,
         }
     }
 
@@ -57,7 +70,7 @@ impl ActiveSkeleton {
     }
 
     /// The skeleton set.
-    pub fn set(&self) -> &SkeletonSet {
+    pub fn set(&self) -> &Arc<SkeletonSet> {
         &self.set
     }
 
@@ -74,30 +87,41 @@ impl ActiveSkeleton {
         let idx = ((pc - self.code_base) / 4) as usize;
         (idx < self.n).then_some(idx)
     }
-}
 
-impl FetchFilter for ActiveSkeleton {
-    fn keep(&mut self, pc: u64) -> bool {
+    /// Whether the active version keeps the instruction at `pc` (the LT
+    /// fetch filter).
+    #[inline]
+    pub fn keep(&self, pc: u64) -> bool {
         match self.index_of(pc) {
             Some(i) => self.set.versions[self.active].mask[i],
             None => true,
         }
     }
 
-    fn prefetch_only(&mut self, pc: u64) -> bool {
+    /// Whether the load at `pc` is a prefetch payload of the active
+    /// version.
+    #[inline]
+    pub fn prefetch_only(&self, pc: u64) -> bool {
         match self.index_of(pc) {
             Some(i) => self.set.versions[self.active].prefetch_only[i],
             None => false,
         }
     }
-}
 
-impl BranchOverride for ActiveSkeleton {
-    fn force(&self, pc: u64) -> Option<bool> {
-        self.set.versions[self.active]
-            .bias_override
-            .get(&pc)
-            .copied()
+    /// The active version's forced direction for the conditional branch
+    /// at `pc`, if it is bias-converted (the LT branch override).
+    #[inline]
+    pub fn force(&self, pc: u64) -> Option<bool> {
+        self.index_of(pc)
+            .and_then(|i| self.bias[self.active * self.n + i])
+    }
+
+    /// Whether the instruction at `pc` carries a T1 S bit. S bits come
+    /// from the default version, whichever version is active.
+    #[inline]
+    pub fn sbit(&self, pc: u64) -> bool {
+        self.index_of(pc)
+            .is_some_and(|i| self.set.versions[0].sbits[i])
     }
 }
 

@@ -10,6 +10,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use r3dla_cpu::{CommitRecord, CommitSink};
 
@@ -80,7 +81,7 @@ pub fn static_tune(
     let mut best: HashMap<u64, (f64, usize)> = HashMap::new();
     for v in 0..versions {
         let mut sys = make_system();
-        sys.active_skeleton().borrow_mut().switch_to(v);
+        sys.active_skeleton_mut().switch_to(v);
         let profiler = Rc::new(RefCell::new(LoopProfiler::default()));
         sys.set_mt_observer(profiler.clone());
         sys.run_until_mt(window, window * 60 + 500_000);
@@ -115,19 +116,17 @@ pub fn static_recycle_mode(
 /// Builds a statically tuned system for a config: tunes on a training
 /// window, then assembles the final system with the resulting map.
 pub fn build_static_tuned(base: &DlaSystem, cfg: DlaConfig, tune_window: u64) -> DlaSystem {
-    let program = Rc::clone(base.program());
-    let skeletons = base.active_skeleton().borrow().set().clone();
-    let profile = base.profile.clone();
+    let program = Arc::clone(base.program());
+    let skeletons = Arc::clone(base.active_skeleton().set());
+    let profile = Arc::clone(&base.profile);
     let versions = skeletons.len();
     let mk = {
-        let program = Rc::clone(&program);
-        let skeletons = skeletons.clone();
-        let profile = profile.clone();
+        let (program, skeletons, profile) = (program.clone(), skeletons.clone(), profile.clone());
         let cfg = cfg.clone();
         move || {
             let mut c = cfg.clone();
             c.recycle = RecycleMode::Off;
-            DlaSystem::assemble(Rc::clone(&program), c, skeletons.clone(), profile.clone())
+            DlaSystem::assemble(program.clone(), c, skeletons.clone(), profile.clone())
         }
     };
     let mode = static_recycle_mode(mk, versions, tune_window);
@@ -146,13 +145,12 @@ mod tests {
     fn tuner_attributes_loops_and_produces_a_map() {
         let wl = by_name("hmmer_like").unwrap().build(Scale::Tiny);
         let base = DlaSystem::build(&wl, DlaConfig::dla(), SkeletonOptions::default()).unwrap();
-        let program = Rc::clone(base.program());
-        let skeletons = base.active_skeleton().borrow().set().clone();
-        let profile = base.profile.clone();
+        let (program, profile) = (base.program(), &base.profile);
+        let skeletons = base.active_skeleton().set();
         let (map, loops) = static_tune(
             || {
                 DlaSystem::assemble(
-                    Rc::clone(&program),
+                    program.clone(),
                     DlaConfig::dla(),
                     skeletons.clone(),
                     profile.clone(),
@@ -175,7 +173,7 @@ mod tests {
         let rep = tuned.measure(5_000, 20_000);
         assert!(rep.mt_ipc > 0.0);
         assert!(matches!(
-            tuned.recycle_controller().borrow().mode(),
+            tuned.recycle_controller().mode(),
             RecycleMode::Static(_)
         ));
     }

@@ -3,21 +3,20 @@
 //! the footnote queue, and the R3 optimizations wired in.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use r3dla_bpred::Tage;
-use r3dla_cpu::{
-    ActivityCounters, BaseMem, CommitRecord, CommitSink, Core, CoreConfig, PredictorDirection,
-};
+use r3dla_bpred::{DirectionPredictor, Tage};
+use r3dla_cpu::{ActivityCounters, BaseHooks, CommitSink, Core, CoreConfig, Observer};
 use r3dla_isa::{ArchCheckpoint, ArchState, FxHashMap, Program, VecMem};
 use r3dla_mem::{CacheStats, CoreMem, DramStats, MemConfig, SharedLlc};
 use r3dla_workloads::BuiltWorkload;
 
 use crate::dataflow::Dataflow;
+use crate::link::{HintSink, Link, LtHooks, MtHooks};
 use crate::overlay::OverlayMem;
 use crate::profile::{profile, ProfileData};
-use crate::queues::{Boq, BoqDirection, Footnote, FootnoteQueue};
+use crate::queues::{Boq, Footnote, FootnoteQueue};
 use crate::recycle::{ActiveSkeleton, RecycleController, RecycleMode};
 use crate::skeleton::{generate_skeletons, SkeletonOptions, SkeletonSet};
 use crate::t1::T1;
@@ -130,160 +129,6 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-struct LtSink {
-    boq: Rc<RefCell<Boq>>,
-    fq: Rc<RefCell<FootnoteQueue>>,
-    sif: Rc<RefCell<Sif>>,
-    value_reuse: bool,
-    fq_hints: bool,
-    /// Tag of the last BOQ entry pushed, or `None` before the first
-    /// conditional branch commits (and again right after a reboot).
-    last_tag: Option<u64>,
-    /// Hints committed before the first branch: held here and re-tagged
-    /// with that branch's tag so `release_up_to` delivers them
-    /// just-in-time instead of immediately.
-    pending: Vec<Footnote>,
-    pending_cap: usize,
-}
-
-impl LtSink {
-    fn push_note(&mut self, note: Footnote) {
-        match self.last_tag {
-            Some(tag) => self.fq.borrow_mut().push(tag, note),
-            None => {
-                if self.pending.len() < self.pending_cap {
-                    self.pending.push(note);
-                }
-            }
-        }
-    }
-
-    /// Forgets the aligning-branch state after a reboot: the next hints
-    /// must wait for the first post-reboot branch again.
-    fn reset(&mut self) {
-        self.last_tag = None;
-        self.pending.clear();
-    }
-}
-
-impl CommitSink for LtSink {
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        if rec.inst.is_cond_branch() {
-            let tag = self.boq.borrow_mut().push(rec.taken.unwrap_or(false));
-            // Flush hints that preceded any branch: this branch is their
-            // aligning BOQ entry.
-            if !self.pending.is_empty() {
-                let mut fq = self.fq.borrow_mut();
-                for note in self.pending.drain(..) {
-                    let note = match note {
-                        Footnote::Value {
-                            offset, pc, value, ..
-                        } => Footnote::Value {
-                            tag,
-                            offset,
-                            pc,
-                            value,
-                        },
-                        other => other,
-                    };
-                    fq.push(tag, note);
-                }
-            }
-            self.last_tag = Some(tag);
-            return;
-        }
-        if !self.fq_hints {
-            return;
-        }
-        if rec.inst.is_branch() && !rec.inst.has_static_target() {
-            // Indirect branch: send the target hint.
-            self.push_note(Footnote::BranchTarget {
-                pc: rec.pc,
-                target: rec.next_pc,
-            });
-        }
-        if rec.inst.is_load() {
-            if let Some(addr) = rec.mem_addr {
-                if rec.l1_miss {
-                    self.push_note(Footnote::L1Prefetch(addr));
-                }
-                if rec.tlb_miss {
-                    self.push_note(Footnote::TlbHint(addr));
-                }
-            }
-        }
-        if self.value_reuse && !rec.inst.is_branch() {
-            if let Some(value) = rec.value {
-                if self.sif.borrow().should_reuse(rec.pc) {
-                    let tag = self.last_tag.unwrap_or(0);
-                    self.push_note(Footnote::Value {
-                        tag,
-                        offset: 0,
-                        pc: rec.pc,
-                        value,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// An optional, late-bound commit observer shared across sinks.
-type SharedObserver = Rc<RefCell<Option<Rc<RefCell<dyn CommitSink>>>>>;
-
-struct MtSink {
-    boq: Rc<RefCell<Boq>>,
-    sif: Rc<RefCell<Sif>>,
-    t1: Option<Rc<RefCell<T1>>>,
-    t1_out: Rc<RefCell<Vec<u64>>>,
-    sbit_pcs: HashSet<u64>,
-    recycle: Rc<RefCell<RecycleController>>,
-    active: Rc<RefCell<ActiveSkeleton>>,
-    value_reuse: bool,
-    observer: SharedObserver,
-}
-
-impl CommitSink for MtSink {
-    fn on_commit(&mut self, rec: &CommitRecord) {
-        if let Some(obs) = self.observer.borrow().clone() {
-            obs.borrow_mut().on_commit(rec);
-        }
-        self.recycle
-            .borrow_mut()
-            .on_commit(&mut self.active.borrow_mut());
-        if rec.inst.is_cond_branch() {
-            self.boq.borrow_mut().commit_front();
-            if rec.taken == Some(true) && rec.next_pc < rec.pc {
-                // A committed loop branch.
-                if self.value_reuse {
-                    self.sif.borrow_mut().on_loop_branch(rec.next_pc);
-                }
-                if let Some(t1) = &self.t1 {
-                    t1.borrow_mut().on_loop_branch(rec.next_pc);
-                }
-                self.recycle.borrow_mut().on_loop_branch(
-                    rec.next_pc,
-                    rec.cycle,
-                    &mut self.active.borrow_mut(),
-                );
-            }
-        }
-        if self.value_reuse {
-            self.sif
-                .borrow_mut()
-                .observe_latency(rec.pc, rec.dispatch_to_exec);
-        }
-        if let Some(t1) = &self.t1 {
-            if self.sbit_pcs.contains(&rec.pc) {
-                if let Some(addr) = rec.mem_addr {
-                    t1.borrow_mut()
-                        .observe(rec.pc, addr, rec.cycle, &mut self.t1_out.borrow_mut());
-                }
-            }
-        }
-    }
-}
-
 /// A consistent snapshot of system-wide counters, for windowed
 /// measurement (warm up, snapshot, measure, diff).
 #[derive(Debug, Clone)]
@@ -331,22 +176,16 @@ pub struct WindowReport {
 /// restart anyway.
 const REBOOT_DRAIN_TIMEOUT: u64 = 10_000;
 
-/// The complete DLA / R3-DLA system: two cores plus queues.
+/// The complete DLA / R3-DLA system: two cores and the link between
+/// them (queues, skeleton, controllers, memory), which the system lends
+/// to each core's step as that core's hooks.
 pub struct DlaSystem {
-    program: Rc<Program>,
+    program: Arc<Program>,
     mt: Core,
     lt: Core,
-    boq: Rc<RefCell<Boq>>,
-    fq: Rc<RefCell<FootnoteQueue>>,
-    ind_targets: Rc<RefCell<FxHashMap<u64, u64>>>,
-    vr: Option<Rc<RefCell<VrSource>>>,
-    sif: Rc<RefCell<Sif>>,
-    t1_out: Rc<RefCell<Vec<u64>>>,
-    overlay: Rc<RefCell<OverlayMem>>,
-    active: Rc<RefCell<ActiveSkeleton>>,
-    recycle: Rc<RefCell<RecycleController>>,
-    mt_observer: SharedObserver,
-    lt_sink: Rc<RefCell<LtSink>>,
+    /// LT's branch predictor (MT's directions come from the BOQ).
+    lt_dir: Tage,
+    link: Link,
     note_buf: Vec<Footnote>,
     cycle: u64,
     reboot_cost: u64,
@@ -356,7 +195,7 @@ pub struct DlaSystem {
     /// Total reboots performed.
     pub reboots: u64,
     /// The profile used for skeleton generation.
-    pub profile: ProfileData,
+    pub profile: Arc<ProfileData>,
 }
 
 impl std::fmt::Debug for DlaSystem {
@@ -380,13 +219,7 @@ impl DlaSystem {
         cfg: DlaConfig,
         opt: SkeletonOptions,
     ) -> Result<Self, BuildError> {
-        if built.program.is_empty() {
-            return Err(BuildError::EmptyProgram);
-        }
-        let program = Rc::new(built.program.clone());
-        let df = Dataflow::analyze(&program);
-        let prof = profile(&program, cfg.profile_insts);
-        let skeletons = generate_skeletons(&program, &df, &prof, &opt, cfg.t1);
+        let (program, skeletons, prof) = Self::analyze(built, &cfg, &opt)?;
         Ok(Self::assemble(program, cfg, skeletons, prof))
     }
 
@@ -404,47 +237,36 @@ impl DlaSystem {
         opt: SkeletonOptions,
         shared: Rc<RefCell<SharedLlc>>,
     ) -> Result<Self, BuildError> {
-        if built.program.is_empty() {
-            return Err(BuildError::EmptyProgram);
-        }
-        let program = Rc::new(built.program.clone());
-        let df = Dataflow::analyze(&program);
-        let prof = profile(&program, cfg.profile_insts);
-        let skeletons = generate_skeletons(&program, &df, &prof, &opt, cfg.t1);
+        let (program, skeletons, prof) = Self::analyze(built, &cfg, &opt)?;
         Ok(Self::assemble_shared(program, cfg, skeletons, prof, shared))
     }
 
-    /// Like [`build`](Self::build), but resumes from an architectural
-    /// checkpoint instead of the program entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::EmptyProgram`] for empty programs.
-    pub fn build_from_checkpoint(
+    /// Profiles `built` and generates its skeletons: the offline analysis
+    /// every `build*` constructor runs before assembling.
+    fn analyze(
         built: &BuiltWorkload,
-        cfg: DlaConfig,
-        opt: SkeletonOptions,
-        ckpt: &ArchCheckpoint,
-    ) -> Result<Self, BuildError> {
+        cfg: &DlaConfig,
+        opt: &SkeletonOptions,
+    ) -> Result<(Program, SkeletonSet, ProfileData), BuildError> {
         if built.program.is_empty() {
             return Err(BuildError::EmptyProgram);
         }
         let program = Rc::new(built.program.clone());
         let df = Dataflow::analyze(&program);
         let prof = profile(&program, cfg.profile_insts);
-        let skeletons = generate_skeletons(&program, &df, &prof, &opt, cfg.t1);
-        Ok(Self::restore_from_checkpoint(
-            program, cfg, skeletons, prof, ckpt,
-        ))
+        let skeletons = generate_skeletons(&program, &df, &prof, opt, cfg.t1);
+        Ok((Rc::unwrap_or_clone(program), skeletons, prof))
     }
 
     /// Builds the system with pre-generated skeletons (used by the static
-    /// recycle tuner and ablation benches).
+    /// recycle tuner and ablation benches). The program, skeletons and
+    /// profile are read-only: pass `Arc`s to share them between systems
+    /// instead of copying them into each.
     pub fn assemble(
-        program: Rc<Program>,
+        program: impl Into<Arc<Program>>,
         cfg: DlaConfig,
-        skeletons: SkeletonSet,
-        prof: ProfileData,
+        skeletons: impl Into<Arc<SkeletonSet>>,
+        prof: impl Into<Arc<ProfileData>>,
     ) -> Self {
         Self::assemble_at(program, cfg, skeletons, prof, None, None)
     }
@@ -456,10 +278,10 @@ impl DlaSystem {
     /// channel. `cfg.mem`'s L3/DRAM parameters are ignored in favor of
     /// the handle's.
     pub fn assemble_shared(
-        program: Rc<Program>,
+        program: impl Into<Arc<Program>>,
         cfg: DlaConfig,
-        skeletons: SkeletonSet,
-        prof: ProfileData,
+        skeletons: impl Into<Arc<SkeletonSet>>,
+        prof: impl Into<Arc<ProfileData>>,
         shared: Rc<RefCell<SharedLlc>>,
     ) -> Self {
         Self::assemble_at(program, cfg, skeletons, prof, None, Some(shared))
@@ -472,52 +294,38 @@ impl DlaSystem {
     /// predictors, queues) starts cold — sampled simulation warms it
     /// explicitly per interval.
     pub fn restore_from_checkpoint(
-        program: Rc<Program>,
+        program: impl Into<Arc<Program>>,
         cfg: DlaConfig,
-        skeletons: SkeletonSet,
-        prof: ProfileData,
+        skeletons: impl Into<Arc<SkeletonSet>>,
+        prof: impl Into<Arc<ProfileData>>,
         ckpt: &ArchCheckpoint,
     ) -> Self {
         Self::assemble_at(program, cfg, skeletons, prof, Some(ckpt), None)
     }
 
     fn assemble_at(
-        program: Rc<Program>,
+        program: impl Into<Arc<Program>>,
         cfg: DlaConfig,
-        skeletons: SkeletonSet,
-        prof: ProfileData,
+        skeletons: impl Into<Arc<SkeletonSet>>,
+        prof: impl Into<Arc<ProfileData>>,
         restore: Option<&ArchCheckpoint>,
         external_llc: Option<Rc<RefCell<SharedLlc>>>,
     ) -> Self {
+        let program = program.into();
         // Shared architectural memory.
-        let arch_mem = Rc::new(RefCell::new(VecMem::new()));
-        arch_mem.borrow_mut().load_image(program.image());
-        if let Some(ckpt) = restore {
-            ckpt.apply_to(&mut arch_mem.borrow_mut());
-        }
+        let mut arch_mem = VecMem::new();
+        arch_mem.load_image(program.image());
+        let (start_pc, start_regs) = match restore {
+            Some(ckpt) => {
+                ckpt.apply_to(&mut arch_mem);
+                (ckpt.pc(), ckpt.regs())
+            }
+            None => (program.entry(), ArchState::new(program.entry()).regs()),
+        };
         // Shared L3 + DRAM: private by default, or an external handle
         // when several tenant systems contend for one memory side.
         let shared =
             external_llc.unwrap_or_else(|| Rc::new(RefCell::new(SharedLlc::new(&cfg.mem))));
-        // Queues and hint state.
-        let boq = Rc::new(RefCell::new(Boq::new(cfg.boq_capacity)));
-        let fq = Rc::new(RefCell::new(FootnoteQueue::new(cfg.fq_capacity)));
-        let ind_targets = Rc::new(RefCell::new(FxHashMap::default()));
-        let sif = Rc::new(RefCell::new(Sif::new()));
-        let t1 = cfg
-            .t1
-            .then(|| Rc::new(RefCell::new(T1::new(cfg.t1_entries, 200))));
-        let t1_out = Rc::new(RefCell::new(Vec::new()));
-        let active = Rc::new(RefCell::new(ActiveSkeleton::new(skeletons, &program)));
-        let recycle = Rc::new(RefCell::new(RecycleController::new(cfg.recycle.clone())));
-        // S-bit PCs come from the default skeleton version.
-        let sbit_pcs: HashSet<u64> = active.borrow().set().versions[0]
-            .sbits
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| program.index_to_pc(i))
-            .collect();
         // ---- Main core ----------------------------------------------------
         let mut mt_mem = CoreMem::new(&cfg.mem, Rc::clone(&shared));
         if let Some(name) = cfg.mt_l2_prefetcher {
@@ -530,80 +338,43 @@ impl DlaSystem {
                 mt_mem.set_l1_prefetcher(pf);
             }
         }
-        let mut mt = Core::new(cfg.mt_core.clone(), Rc::clone(&program), mt_mem);
-        let (start_pc, start_regs) = match restore {
-            Some(ckpt) => (ckpt.pc(), ckpt.regs()),
-            None => (program.entry(), ArchState::new(program.entry()).regs()),
-        };
-        let mt_dir = Box::new(BoqDirection::new(Rc::clone(&boq), Rc::clone(&ind_targets)));
-        let mt_tid = mt.add_thread(
-            start_pc,
-            start_regs,
-            mt_dir,
-            Rc::new(RefCell::new(BaseMem(Rc::clone(&arch_mem)))),
-        );
+        let mut mt = Core::new(cfg.mt_core.clone(), Arc::clone(&program), mt_mem);
+        let mt_tid = mt.add_thread(start_pc, start_regs);
         debug_assert_eq!(mt_tid, 0);
-        let vr = cfg.value_reuse.then(|| {
-            let vr = Rc::new(RefCell::new(VrSource::new(cfg.vr_capacity)));
-            mt.set_value_source(0, vr.clone());
-            vr
-        });
-        let mt_observer: SharedObserver = Rc::new(RefCell::new(None));
-        let mt_sink = Rc::new(RefCell::new(MtSink {
-            boq: Rc::clone(&boq),
-            sif: Rc::clone(&sif),
-            t1: t1.clone(),
-            t1_out: Rc::clone(&t1_out),
-            sbit_pcs,
-            recycle: Rc::clone(&recycle),
-            active: Rc::clone(&active),
-            value_reuse: cfg.value_reuse,
-            observer: Rc::clone(&mt_observer),
-        }));
-        mt.set_commit_sink(0, mt_sink);
         // ---- Look-ahead core ----------------------------------------------
         let mut lt_mem_cfg = cfg.mem.clone();
         lt_mem_cfg.l1d.discard_dirty = true;
         lt_mem_cfg.l2.discard_dirty = true;
-        let mut lt_mem = CoreMem::new(&lt_mem_cfg, Rc::clone(&shared));
+        let mut lt_mem = CoreMem::new(&lt_mem_cfg, shared);
         if let Some(name) = cfg.lt_l2_prefetcher {
             if let Some(pf) = r3dla_prefetch::by_name(name) {
                 lt_mem.set_l2_prefetcher(pf);
             }
         }
-        let mut lt = Core::new(cfg.lt_core.clone(), Rc::clone(&program), lt_mem);
-        let overlay = Rc::new(RefCell::new(OverlayMem::new(Rc::clone(&arch_mem))));
-        let lt_dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-        let lt_tid = lt.add_thread(start_pc, start_regs, lt_dir, overlay.clone());
+        let mut lt = Core::new(cfg.lt_core.clone(), Arc::clone(&program), lt_mem);
+        let lt_tid = lt.add_thread(start_pc, start_regs);
         debug_assert_eq!(lt_tid, 0);
-        lt.set_fetch_filter(0, active.clone());
-        lt.set_branch_override(0, active.clone());
-        let lt_sink = Rc::new(RefCell::new(LtSink {
-            boq: Rc::clone(&boq),
-            fq: Rc::clone(&fq),
-            sif: Rc::clone(&sif),
-            value_reuse: cfg.value_reuse,
-            fq_hints: cfg.fq_hints,
-            last_tag: None,
-            pending: Vec::new(),
-            pending_cap: cfg.fq_capacity,
-        }));
-        lt.set_commit_sink(0, Rc::clone(&lt_sink) as _);
+        let link = Link {
+            boq: Boq::new(cfg.boq_capacity),
+            fq: FootnoteQueue::new(cfg.fq_capacity),
+            ind_targets: FxHashMap::default(),
+            vr: cfg.value_reuse.then(|| VrSource::new(cfg.vr_capacity)),
+            sif: Sif::new(),
+            t1: cfg.t1.then(|| T1::new(cfg.t1_entries, 200)),
+            t1_out: Vec::new(),
+            active: ActiveSkeleton::new(skeletons, &program),
+            recycle: RecycleController::new(cfg.recycle.clone()),
+            arch_mem,
+            overlay: OverlayMem::new(),
+            hints: HintSink::new(cfg.value_reuse, cfg.fq_hints, cfg.fq_capacity),
+            observer: None,
+        };
         Self {
             program,
             mt,
             lt,
-            boq,
-            fq,
-            ind_targets,
-            vr,
-            sif,
-            t1_out,
-            overlay,
-            active,
-            recycle,
-            mt_observer,
-            lt_sink,
+            lt_dir: Tage::paper(),
+            link,
             note_buf: Vec::new(),
             cycle: 0,
             reboot_cost: cfg.reboot_cost,
@@ -611,12 +382,12 @@ impl DlaSystem {
             pending_since: 0,
             fast_forward: true,
             reboots: 0,
-            profile: prof,
+            profile: prof.into(),
         }
     }
 
     /// The program under simulation.
-    pub fn program(&self) -> &Rc<Program> {
+    pub fn program(&self) -> &Arc<Program> {
         &self.program
     }
 
@@ -636,18 +407,18 @@ impl DlaSystem {
     }
 
     /// The active-skeleton holder (recycle statistics, Fig 15 usage).
-    pub fn active_skeleton(&self) -> Rc<RefCell<ActiveSkeleton>> {
-        Rc::clone(&self.active)
+    pub fn active_skeleton(&self) -> &ActiveSkeleton {
+        &self.link.active
+    }
+
+    /// The active-skeleton holder, to pin a version (static tuning).
+    pub fn active_skeleton_mut(&mut self) -> &mut ActiveSkeleton {
+        &mut self.link.active
     }
 
     /// The recycle controller statistics.
-    pub fn recycle_controller(&self) -> Rc<RefCell<RecycleController>> {
-        Rc::clone(&self.recycle)
-    }
-
-    /// Current look-ahead depth in BOQ entries.
-    pub fn lookahead_depth(&self) -> usize {
-        self.boq.borrow().depth()
+    pub fn recycle_controller(&self) -> &RecycleController {
+        &self.link.recycle
     }
 
     /// Whether the main thread has halted.
@@ -658,14 +429,14 @@ impl DlaSystem {
     /// Attaches an extra observer to the main thread's commit stream
     /// (used by experiment harnesses for per-PC attribution).
     pub fn set_mt_observer(&mut self, sink: Rc<RefCell<dyn CommitSink>>) {
-        *self.mt_observer.borrow_mut() = Some(sink);
+        self.link.observer = Some(sink);
     }
 
     /// Injects a BOQ misfeed, as if MT had just detected a wrong fed
     /// direction — a fault-injection hook for reboot-path tests and
     /// reboot-cost experiments.
     pub fn inject_misfeed(&mut self) {
-        self.boq.borrow_mut().misfeed = true;
+        self.link.boq.misfeed = true;
     }
 
     /// Functional warm touch of both cores' data paths: tag-array install
@@ -687,62 +458,49 @@ impl DlaSystem {
     /// one architectural outcome (the main thread's BOQ-fed direction
     /// source ignores warmup by design).
     pub fn warm_branch(&mut self, pc: u64, taken: bool) {
-        self.mt.warm_branch(0, pc, taken);
-        self.lt.warm_branch(0, pc, taken);
+        self.lt_dir.warm(pc, taken);
     }
 
     /// Advances the whole system by one cycle.
     pub fn step(&mut self) {
         // Main core first: it consumes BOQ entries and may detect misfeed.
-        self.mt.step();
+        self.mt.step(&mut [MtHooks(&mut self.link)]);
+        let link = &mut self.link;
         // Release footnotes up to the last served BOQ tag and apply them.
-        let served = self.boq.borrow().last_served_tag();
+        let served = link.boq.last_served_tag();
         self.note_buf.clear();
-        self.fq
-            .borrow_mut()
-            .release_up_to(served, &mut self.note_buf);
-        for i in 0..self.note_buf.len() {
-            match self.note_buf[i] {
+        link.fq.release_up_to(served, &mut self.note_buf);
+        for note in &self.note_buf {
+            match *note {
                 Footnote::L1Prefetch(addr) => {
                     self.mt.mem_mut().prefetch_into_l1(addr, self.cycle);
                 }
                 Footnote::TlbHint(addr) => self.mt.mem_mut().tlb_fill(addr),
                 Footnote::BranchTarget { pc, target } => {
-                    self.ind_targets.borrow_mut().insert(pc, target);
+                    link.ind_targets.insert(pc, target);
                 }
                 Footnote::Value { tag, pc, value, .. } => {
-                    if let Some(vr) = &self.vr {
-                        vr.borrow_mut().insert(tag, pc, value);
+                    if let Some(vr) = &mut link.vr {
+                        vr.insert(tag, pc, value);
                     }
                 }
             }
         }
         // T1 prefetches raised at MT commit.
-        {
-            let mut out = self.t1_out.borrow_mut();
-            for i in 0..out.len() {
-                let addr = out[i];
-                self.mt.mem_mut().prefetch_into_l1(addr, self.cycle);
-            }
-            out.clear();
+        for addr in link.t1_out.drain(..) {
+            self.mt.mem_mut().prefetch_into_l1(addr, self.cycle);
         }
         // Value-misprediction feedback into the SIF.
-        if let Some(vr) = &self.vr {
-            let mut vr = vr.borrow_mut();
+        if let Some(vr) = &mut link.vr {
             for pc in vr.mispredicted_pcs.drain(..) {
-                self.sif.borrow_mut().on_mispredict(pc);
+                link.sif.on_mispredict(pc);
             }
         }
         // Misfeed → freeze LT, drain MT, then reboot.
-        if self.boq.borrow().misfeed && !self.pending_reboot {
+        if link.boq.misfeed && !self.pending_reboot {
             self.pending_reboot = true;
             self.pending_since = self.cycle;
-            self.boq.borrow_mut().clear();
-            self.fq.borrow_mut().clear();
-            if let Some(vr) = &self.vr {
-                vr.borrow_mut().clear();
-            }
-            self.ind_targets.borrow_mut().clear();
+            link.flush_queues();
         }
         if self.pending_reboot {
             let drained = self.mt.in_flight(0) == 0;
@@ -755,7 +513,10 @@ impl DlaSystem {
             // enough ahead (paper §III-A ®: depth control) — the same
             // eligibility predicate the skip path uses.
             if self.lt_runnable() {
-                self.lt.step();
+                self.lt.step(&mut [LtHooks {
+                    dir: &mut self.lt_dir,
+                    link: &mut self.link,
+                }]);
             }
         }
         self.cycle += 1;
@@ -765,23 +526,15 @@ impl DlaSystem {
         let pc = self.mt.arch_pc(0);
         let regs = self.mt.arch_regs(0);
         self.lt.reboot_thread(0, pc, regs, self.reboot_cost);
-        self.overlay.borrow_mut().clear();
-        self.boq.borrow_mut().clear();
-        self.fq.borrow_mut().clear();
-        if let Some(vr) = &self.vr {
-            vr.borrow_mut().clear();
-        }
-        // Indirect-branch targets learned before the misfeed would steer
-        // MT fetch down stale paths after the restart.
-        self.ind_targets.borrow_mut().clear();
-        self.lt_sink.borrow_mut().reset();
+        let link = &mut self.link;
+        link.overlay.clear();
+        link.flush_queues();
+        link.hints.reset();
         self.pending_reboot = false;
         self.reboots += 1;
         // Storm guard: repeated reboots under a recycled skeleton demote
         // it back to the default version.
-        self.recycle
-            .borrow_mut()
-            .on_reboot(&mut self.active.borrow_mut());
+        link.recycle.on_reboot(&mut link.active);
     }
 
     /// Enables or disables event-driven cycle skipping in
@@ -812,7 +565,7 @@ impl DlaSystem {
     /// both cores are provably quiescent — so no mid-window thaw is
     /// reachable. [`do_skip`](Self::do_skip) asserts this invariant.
     fn lt_runnable(&self) -> bool {
-        !self.pending_reboot && !self.boq.borrow().full() && !self.lt.halted()
+        !self.pending_reboot && !self.link.boq.full() && !self.lt.halted()
     }
 
     /// Number of quiescent cycles (≤ `limit`) the whole system can
@@ -829,21 +582,18 @@ impl DlaSystem {
     /// drain-timeout cycle; bounding by every wake-eligibility event this
     /// way means a window can never straddle a cycle on which LT's
     /// eligibility flips.
-    fn skip_window(&self, limit: u64) -> (u64, bool) {
+    fn skip_window(&mut self, limit: u64) -> (u64, bool) {
         let lt_active = self.lt_runnable();
-        if self.boq.borrow().misfeed && !self.pending_reboot {
+        let boq = &self.link.boq;
+        if boq.misfeed && !self.pending_reboot {
             return (0, lt_active); // the next step latches the reboot
         }
         // Footnotes released by LT commits are applied at the top of the
         // *next* step; a pending release means the next cycle acts.
-        if self
-            .fq
-            .borrow()
-            .has_releasable(self.boq.borrow().last_served_tag())
-        {
+        if self.link.fq.has_releasable(boq.last_served_tag()) {
             return (0, lt_active);
         }
-        let Some(mt_wake) = self.mt.next_event_at() else {
+        let Some(mt_wake) = self.mt.next_event_at(&[MtHooks(&mut self.link)]) else {
             return (0, lt_active);
         };
         let mut wake = mt_wake;
@@ -853,7 +603,11 @@ impl DlaSystem {
             }
             wake = wake.min(self.pending_since + REBOOT_DRAIN_TIMEOUT + 1);
         } else if lt_active {
-            let Some(lt_wake) = self.lt.next_event_at() else {
+            let lt_hooks = LtHooks {
+                dir: &mut self.lt_dir,
+                link: &mut self.link,
+            };
+            let Some(lt_wake) = self.lt.next_event_at(&[lt_hooks]) else {
                 return (0, lt_active);
             };
             // LT's clock only advances on cycles it actually steps, so
@@ -1056,9 +810,9 @@ impl MeasureTarget for SingleCoreSim {
     /// [`Core::step_or_skip`].
     fn advance_quantum(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
         if self.fast_forward {
-            self.core.step_or_skip(cap, last_probe)
+            self.core.step_or_skip(&mut self.hooks, cap, last_probe)
         } else {
-            self.core.step();
+            self.step();
             self.core.cycle()
         }
     }
@@ -1093,6 +847,7 @@ pub fn event_kernel_default() -> bool {
 /// measurement interface — the paper's BL / BL(noPF) / FC configurations.
 pub struct SingleCoreSim {
     core: Core,
+    hooks: [BaseHooks<Observer>; 1],
     fast_forward: bool,
 }
 
@@ -1147,7 +902,7 @@ impl SingleCoreSim {
         l2_prefetcher: Option<&str>,
         restore: Option<&ArchCheckpoint>,
     ) -> Self {
-        let program = Rc::new(built.program.clone());
+        let program = Arc::new(built.program.clone());
         let shared = Rc::new(RefCell::new(SharedLlc::new(&mem_cfg)));
         let mut mem = CoreMem::new(&mem_cfg, shared);
         if let Some(name) = l2_prefetcher {
@@ -1160,27 +915,36 @@ impl SingleCoreSim {
                 mem.set_l1_prefetcher(pf);
             }
         }
-        let mut core = Core::new(core_cfg, Rc::clone(&program), mem);
-        let arch_mem = Rc::new(RefCell::new(VecMem::new()));
-        arch_mem.borrow_mut().load_image(program.image());
+        let mut hooks = BaseHooks::with_sink(&program, None);
         let (start_pc, start_regs) = match restore {
             Some(ckpt) => {
-                ckpt.apply_to(&mut arch_mem.borrow_mut());
+                ckpt.apply_to(&mut hooks.mem);
                 (ckpt.pc(), ckpt.regs())
             }
             None => (program.entry(), ArchState::new(program.entry()).regs()),
         };
-        let dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-        core.add_thread(
-            start_pc,
-            start_regs,
-            dir,
-            Rc::new(RefCell::new(BaseMem(arch_mem))),
-        );
+        let mut core = Core::new(core_cfg, program, mem);
+        core.add_thread(start_pc, start_regs);
         Self {
             core,
+            hooks: [hooks],
             fast_forward: true,
         }
+    }
+
+    /// Advances the core by one cycle.
+    pub fn step(&mut self) {
+        self.core.step(&mut self.hooks);
+    }
+
+    /// The core's [`Core::next_event_at`] under this simulation's hooks.
+    pub fn next_event_at(&self) -> Option<u64> {
+        self.core.next_event_at(&self.hooks)
+    }
+
+    /// Attaches an observer to the committed instruction stream.
+    pub fn set_observer(&mut self, sink: Rc<RefCell<dyn CommitSink>>) {
+        self.hooks[0].sink = Some(sink);
     }
 
     /// Enables or disables event-driven cycle skipping in
@@ -1199,7 +963,7 @@ impl SingleCoreSim {
         &self.core
     }
 
-    /// Mutable core access (attaching sinks for profiling).
+    /// Mutable core access (prefetch hints, skips).
     pub fn core_mut(&mut self) -> &mut Core {
         &mut self.core
     }
@@ -1268,7 +1032,7 @@ impl SingleCoreSim {
     /// Functionally trains the branch predictor with one architectural
     /// outcome.
     pub fn warm_branch(&mut self, pc: u64, taken: bool) {
-        self.core.warm_branch(0, pc, taken);
+        self.hooks[0].dir.warm(pc, taken);
     }
 
     /// DRAM traffic lines so far.
@@ -1300,119 +1064,7 @@ fn spec_surface_is_send_sync() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use r3dla_isa::{Inst, Op, Reg};
     use r3dla_workloads::{by_name, Scale};
-
-    fn record(inst: Inst, pc: u64) -> CommitRecord {
-        CommitRecord {
-            thread: 0,
-            seq: 0,
-            inst,
-            pc,
-            cycle: 0,
-            next_pc: pc + 4,
-            taken: None,
-            value: None,
-            mem_addr: None,
-            l1_miss: false,
-            l2_miss: false,
-            tlb_miss: false,
-            dispatch_to_exec: 0,
-        }
-    }
-
-    fn load_record(pc: u64, addr: u64) -> CommitRecord {
-        let inst = Inst {
-            op: Op::Ld,
-            rd: Reg::int(3),
-            rs1: Reg::int(4),
-            rs2: Reg::ZERO,
-            imm: 0,
-        };
-        let mut r = record(inst, pc);
-        r.mem_addr = Some(addr);
-        r.l1_miss = true;
-        r
-    }
-
-    fn branch_record(pc: u64, taken: bool) -> CommitRecord {
-        let inst = Inst {
-            op: Op::Bne,
-            rd: Reg::ZERO,
-            rs1: Reg::int(3),
-            rs2: Reg::int(4),
-            imm: 0x100,
-        };
-        let mut r = record(inst, pc);
-        r.taken = Some(taken);
-        r
-    }
-
-    fn test_sink() -> (Rc<RefCell<Boq>>, Rc<RefCell<FootnoteQueue>>, LtSink) {
-        let boq = Rc::new(RefCell::new(Boq::new(16)));
-        let fq = Rc::new(RefCell::new(FootnoteQueue::new(16)));
-        let sink = LtSink {
-            boq: Rc::clone(&boq),
-            fq: Rc::clone(&fq),
-            sif: Rc::new(RefCell::new(Sif::new())),
-            value_reuse: false,
-            fq_hints: true,
-            last_tag: None,
-            pending: Vec::new(),
-            pending_cap: 16,
-        };
-        (boq, fq, sink)
-    }
-
-    #[test]
-    fn pre_branch_hints_wait_for_their_aligning_branch() {
-        let (_boq, fq, mut sink) = test_sink();
-        // Two hints commit before any conditional branch.
-        sink.on_commit(&load_record(0x40, 0x1000));
-        sink.on_commit(&load_record(0x44, 0x2000));
-        // They must NOT be releasable yet — tag 0 would release them
-        // immediately (served tag starts at 0).
-        let mut out = Vec::new();
-        fq.borrow_mut().release_up_to(0, &mut out);
-        assert!(out.is_empty(), "pre-branch hints must be held, got {out:?}");
-        assert!(fq.borrow().is_empty(), "hints stay buffered in the sink");
-        // The first branch commits: the hints are re-tagged with its tag.
-        sink.on_commit(&branch_record(0x48, true));
-        fq.borrow_mut().release_up_to(0, &mut out);
-        assert!(out.is_empty(), "still held until MT consumes the branch");
-        fq.borrow_mut().release_up_to(1, &mut out);
-        assert_eq!(
-            out,
-            vec![Footnote::L1Prefetch(0x1000), Footnote::L1Prefetch(0x2000)],
-            "hints release just-in-time with their aligning branch"
-        );
-    }
-
-    #[test]
-    fn post_branch_hints_keep_streaming() {
-        let (_boq, fq, mut sink) = test_sink();
-        sink.on_commit(&branch_record(0x40, false));
-        sink.on_commit(&load_record(0x44, 0x3000));
-        let mut out = Vec::new();
-        fq.borrow_mut().release_up_to(1, &mut out);
-        assert_eq!(out, vec![Footnote::L1Prefetch(0x3000)]);
-    }
-
-    #[test]
-    fn sink_reset_reenters_pre_branch_holding() {
-        let (_boq, fq, mut sink) = test_sink();
-        sink.on_commit(&branch_record(0x40, true));
-        sink.reset();
-        // After a reboot, hints must wait for the first post-reboot
-        // branch again instead of reusing the stale tag.
-        sink.on_commit(&load_record(0x44, 0x4000));
-        let mut out = Vec::new();
-        fq.borrow_mut().release_up_to(u64::MAX, &mut out);
-        assert!(out.is_empty());
-        sink.on_commit(&branch_record(0x48, true));
-        fq.borrow_mut().release_up_to(2, &mut out);
-        assert_eq!(out, vec![Footnote::L1Prefetch(0x4000)]);
-    }
 
     /// A branchy workload used by the reboot tests (kept in one place so
     /// they stay in sync).
@@ -1473,7 +1125,7 @@ mod tests {
         let mut sys = DlaSystem::build(&wl, DlaConfig::dla(), SkeletonOptions::default()).unwrap();
         sys.run_until_mt(2_000, 1_000_000);
         // Plant a stale indirect target, then force a misfeed.
-        sys.ind_targets.borrow_mut().insert(0xDEAD, 0xBEEF);
+        sys.link.ind_targets.insert(0xDEAD, 0xBEEF);
         sys.inject_misfeed();
         let before = sys.reboots;
         let limit = sys.cycle() + 200_000;
@@ -1482,7 +1134,7 @@ mod tests {
         }
         assert!(sys.reboots > before, "forced misfeed must reboot");
         assert!(
-            !sys.ind_targets.borrow().contains_key(&0xDEAD),
+            !sys.link.ind_targets.contains_key(&0xDEAD),
             "stale indirect-branch targets must not survive a reboot"
         );
     }

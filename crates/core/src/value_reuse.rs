@@ -1,9 +1,9 @@
 //! Value reuse (paper §III-D1): the Slow Instruction Filter (SIF) and the
 //! main-thread value-prediction source fed from footnote-queue entries.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use r3dla_cpu::ValueSource;
+use r3dla_isa::{FxHashMap, FxHashSet};
 use r3dla_stats::Counter;
 
 /// The Slow Instruction Filter: a Bloom filter of PCs whose
@@ -13,7 +13,7 @@ use r3dla_stats::Counter;
 #[derive(Debug)]
 pub struct Sif {
     bloom: [u64; 8],
-    deleted: HashSet<u64>,
+    deleted: FxHashSet<u64>,
     current_loop: Option<u64>,
     iters_in_loop: u32,
     /// Latency threshold in cycles (paper: 20).
@@ -29,7 +29,7 @@ impl Sif {
     pub fn new() -> Self {
         Self {
             bloom: [0; 8],
-            deleted: HashSet::new(),
+            deleted: FxHashSet::default(),
             current_loop: None,
             iters_in_loop: 0,
             latency_threshold: 20,
@@ -110,7 +110,7 @@ impl Default for Sif {
 /// alignment, with the PC cross-check built in.
 #[derive(Debug)]
 pub struct VrSource {
-    pending: HashMap<(u64, u64), u64>, // (tag, pc) -> value
+    pending: FxHashMap<(u64, u64), u64>, // (tag, pc) -> value
     order: VecDeque<(u64, u64)>,
     capacity: usize,
     /// Mispredicted PCs reported back (drained by the system into the
@@ -126,7 +126,7 @@ impl VrSource {
     /// Creates a source bounded to `capacity` pending entries.
     pub fn new(capacity: usize) -> Self {
         Self {
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             order: VecDeque::new(),
             capacity,
             mispredicted_pcs: Vec::new(),
@@ -167,20 +167,19 @@ impl VrSource {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
-}
 
-impl ValueSource for VrSource {
-    fn predict(&mut self, pc: u64, branch_seq: u64, _offset: u32) -> Option<u64> {
-        match self.pending.get(&(branch_seq, pc)) {
-            Some(&value) => {
-                self.served.inc();
-                Some(value)
-            }
-            None => None,
+    /// The pending value for the instruction at `pc` after the
+    /// `branch_tag`-th served branch, if LT sent one.
+    pub fn predict(&mut self, pc: u64, branch_tag: u64) -> Option<u64> {
+        let value = self.pending.get(&(branch_tag, pc)).copied();
+        if value.is_some() {
+            self.served.inc();
         }
+        value
     }
 
-    fn on_outcome(&mut self, pc: u64, correct: bool) {
+    /// Records a consumed prediction's validation outcome.
+    pub fn on_outcome(&mut self, pc: u64, correct: bool) {
         if !correct {
             self.mispredicted_pcs.push(pc);
         }
@@ -237,10 +236,10 @@ mod tests {
         let mut vr = VrSource::new(32);
         vr.insert(7, 0x400, 1234);
         // Wrong tag / pc → no prediction.
-        assert_eq!(vr.predict(0x400, 8, 0), None);
-        assert_eq!(vr.predict(0x444, 7, 0), None);
+        assert_eq!(vr.predict(0x400, 8), None);
+        assert_eq!(vr.predict(0x444, 7), None);
         // Exact match serves the value.
-        assert_eq!(vr.predict(0x400, 7, 0), Some(1234));
+        assert_eq!(vr.predict(0x400, 7), Some(1234));
         assert_eq!(vr.served.get(), 1);
     }
 
@@ -251,8 +250,8 @@ mod tests {
         vr.insert(2, 0x2, 20);
         vr.insert(3, 0x3, 30); // evicts (1, 0x1)
         assert_eq!(vr.len(), 2);
-        assert_eq!(vr.predict(0x1, 1, 0), None);
-        assert_eq!(vr.predict(0x3, 3, 0), Some(30));
+        assert_eq!(vr.predict(0x1, 1), None);
+        assert_eq!(vr.predict(0x3, 3), Some(30));
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! One [`Core`] owns a private memory hierarchy ([`CoreMem`]) and one or
 //! more hardware threads (SMT). Each cycle advances commit → writeback →
 //! issue → rename → fetch, so results flow strictly forward in time.
+//! What a thread asks of the world outside the core (directions, skeleton
+//! masks, value predictions, memory, commit reporting) goes through the
+//! [`ThreadHooks`] its owner passes to each [`Core::step`].
 //!
 //! The model is *execute-in-execute*: functional results are computed when
 //! an instruction issues, using real values held in the physical register
@@ -10,8 +13,8 @@
 //! work and pollute caches — exactly the effect decoupled look-ahead is
 //! designed to absorb on behalf of the main thread.
 
-use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use r3dla_bpred::{Btb, BtbConfig, Ras, RasState};
 use r3dla_isa::{
@@ -22,9 +25,7 @@ use r3dla_stats::Histogram;
 
 use crate::config::CoreConfig;
 use crate::counters::ActivityCounters;
-use crate::iface::{
-    BranchOverride, CommitRecord, CommitSink, FetchDirection, FetchFilter, ThreadMem, ValueSource,
-};
+use crate::iface::{CommitRecord, ThreadHooks};
 use crate::prf::Prf;
 use crate::ring::{Ring, StoreQueue};
 
@@ -173,14 +174,12 @@ struct Thread {
     /// boundary, not the instruction.
     front_end: Ring<FetchedInst>,
     decoding: usize,
-    dir: Box<dyn FetchDirection>,
     btb: Btb,
     ras: Ras,
     /// `ras` as a shared snapshot, built on first use and dropped at
     /// every RAS change: all instructions fetched between two changes
     /// point at one copy instead of each carrying the whole stack.
     ras_snap: Option<Rc<RasState>>,
-    filter: Option<Rc<RefCell<dyn FetchFilter>>>,
     // Value-reuse alignment: tag of the last fetched conditional branch
     // and the distance of the fetch cursor from it.
     last_branch_tag: u64,
@@ -207,12 +206,7 @@ struct Thread {
     // Architectural state.
     arch_regs: [u64; Reg::COUNT],
     arch_pc: u64,
-    mem: Rc<RefCell<dyn ThreadMem>>,
     halted: bool,
-    // Hooks.
-    value_source: Option<Rc<RefCell<dyn ValueSource>>>,
-    commit_sink: Option<Rc<RefCell<dyn CommitSink>>>,
-    branch_override: Option<Rc<RefCell<dyn BranchOverride>>>,
     // Stats.
     stats: ThreadStats,
 }
@@ -361,7 +355,7 @@ impl FuPool {
 /// A cycle-stepped out-of-order core.
 pub struct Core {
     cfg: CoreConfig,
-    program: Rc<Program>,
+    program: Arc<Program>,
     mem: CoreMem,
     threads: Vec<Thread>,
     prf: Prf,
@@ -384,7 +378,7 @@ impl std::fmt::Debug for Core {
 impl Core {
     /// Creates a core running `program` against the given private
     /// hierarchy. Threads are added with [`Core::add_thread`].
-    pub fn new(cfg: CoreConfig, program: Rc<Program>, mem: CoreMem) -> Self {
+    pub fn new(cfg: CoreConfig, program: Arc<Program>, mem: CoreMem) -> Self {
         let prf = Prf::new(cfg.prf_size, 0);
         Self {
             fus: FuPool::new(&cfg),
@@ -400,19 +394,13 @@ impl Core {
     }
 
     /// Adds a hardware thread starting at `entry` with architectural
-    /// registers `regs`, fed by `dir` and viewing memory through `mem`.
-    /// Returns the thread id.
+    /// registers `regs`. Returns the thread id: the index of its hooks in
+    /// the slice every [`step`](Core::step) takes.
     ///
     /// # Panics
     ///
     /// Panics if the PRF cannot seat another thread's architectural state.
-    pub fn add_thread(
-        &mut self,
-        entry: u64,
-        regs: [u64; Reg::COUNT],
-        dir: Box<dyn FetchDirection>,
-        mem: Rc<RefCell<dyn ThreadMem>>,
-    ) -> usize {
+    pub fn add_thread(&mut self, entry: u64, regs: [u64; Reg::COUNT]) -> usize {
         let mut rat = [0u16; Reg::COUNT];
         for (i, r) in rat.iter_mut().enumerate() {
             let p = self.prf.alloc().expect("PRF too small for thread state");
@@ -428,11 +416,9 @@ impl Core {
                 FetchedInst::vacant(&ras),
             ),
             decoding: 0,
-            dir,
             btb: Btb::new(BtbConfig::paper()),
             ras: Ras::new(),
             ras_snap: None,
-            filter: None,
             last_branch_tag: 0,
             cursor_offset: 0,
             next_local_tag: 1,
@@ -445,43 +431,10 @@ impl Core {
             next_done: u64::MAX,
             arch_regs: regs,
             arch_pc: entry,
-            mem,
             halted: false,
-            value_source: None,
-            commit_sink: None,
-            branch_override: None,
             stats: ThreadStats::default(),
         });
         self.threads.len() - 1
-    }
-
-    /// Functionally warms a thread's branch-direction source with one
-    /// architectural outcome (no-op for queue-fed sources). Part of the
-    /// sampled-simulation warmup surface; see
-    /// [`FetchDirection::warm_outcome`].
-    pub fn warm_branch(&mut self, thread: usize, pc: u64, taken: bool) {
-        self.threads[thread].dir.warm_outcome(pc, taken);
-    }
-
-    /// Attaches a branch-direction override (bias-converted skeleton
-    /// branches in a look-ahead thread).
-    pub fn set_branch_override(&mut self, thread: usize, ov: Rc<RefCell<dyn BranchOverride>>) {
-        self.threads[thread].branch_override = Some(ov);
-    }
-
-    /// Attaches a fetch filter (skeleton mask) to a thread.
-    pub fn set_fetch_filter(&mut self, thread: usize, filter: Rc<RefCell<dyn FetchFilter>>) {
-        self.threads[thread].filter = Some(filter);
-    }
-
-    /// Attaches a value-prediction source to a thread.
-    pub fn set_value_source(&mut self, thread: usize, src: Rc<RefCell<dyn ValueSource>>) {
-        self.threads[thread].value_source = Some(src);
-    }
-
-    /// Attaches a commit sink to a thread.
-    pub fn set_commit_sink(&mut self, thread: usize, sink: Rc<RefCell<dyn CommitSink>>) {
-        self.threads[thread].commit_sink = Some(sink);
     }
 
     /// Current cycle.
@@ -562,15 +515,21 @@ impl Core {
         }
     }
 
-    /// Advances the whole core by one cycle.
-    pub fn step(&mut self) {
+    /// Advances the whole core by one cycle. `hooks` holds one entry per
+    /// thread, indexed by thread id.
+    pub fn step<H: ThreadHooks>(&mut self, hooks: &mut [H]) {
+        debug_assert_eq!(
+            hooks.len(),
+            self.threads.len(),
+            "one hooks value per thread"
+        );
         self.counters.cycles.inc();
         self.fus.new_cycle();
-        self.stage_commit();
-        self.stage_writeback();
-        self.stage_issue();
-        self.stage_rename();
-        self.stage_fetch();
+        self.stage_commit(hooks);
+        self.stage_writeback(hooks);
+        self.stage_issue(hooks);
+        self.stage_rename(hooks);
+        self.stage_fetch(hooks);
         for t in &mut self.threads {
             t.stats.fetch_occupancy.record(t.fetch_buffered() as u64);
         }
@@ -581,11 +540,11 @@ impl Core {
     /// executed. Quiescent stretches are fast-forwarded through
     /// [`Core::next_event_at`] / [`Core::skip_to`]; the result is
     /// identical to stepping every cycle.
-    pub fn run(&mut self, max_cycles: u64) -> u64 {
+    pub fn run<H: ThreadHooks>(&mut self, hooks: &mut [H], max_cycles: u64) -> u64 {
         let start = self.cycle;
         let mut last_probe = u64::MAX;
         while !self.halted() && self.cycle - start < max_cycles {
-            self.step_or_skip(start.saturating_add(max_cycles), &mut last_probe);
+            self.step_or_skip(hooks, start.saturating_add(max_cycles), &mut last_probe);
         }
         self.cycle - start
     }
@@ -599,18 +558,23 @@ impl Core {
     /// (capped at `cap`); after a step, the very next cycle. Shared by
     /// [`Core::run`], the single-core simulators and the profiler so the
     /// gate logic cannot drift between them.
-    pub fn step_or_skip(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
+    pub fn step_or_skip<H: ThreadHooks>(
+        &mut self,
+        hooks: &mut [H],
+        cap: u64,
+        last_probe: &mut u64,
+    ) -> u64 {
         // Only pay for the quiescence proof when the previous cycle
         // already looked idle.
         let probe = self.activity_probe();
         if probe == *last_probe {
-            if let Some(wake) = self.next_event_at() {
+            if let Some(wake) = self.next_event_at(hooks) {
                 self.skip_to(wake.min(cap));
                 return self.cycle;
             }
         }
         *last_probe = probe;
-        self.step();
+        self.step(hooks);
         self.cycle
     }
 
@@ -654,11 +618,11 @@ impl Core {
     /// with an empty queue) is quiescent with no intrinsic wake — only a
     /// sibling core can refill its queue, so the system-level scheduler
     /// combines both cores' bounds.
-    pub fn next_event_at(&self) -> Option<u64> {
+    pub fn next_event_at<H: ThreadHooks>(&self, hooks: &[H]) -> Option<u64> {
         let now = self.cycle;
         let mut wake = u64::MAX;
         let pipe_cap = self.decode_pipe_cap();
-        for t in &self.threads {
+        for (t, h) in self.threads.iter().zip(hooks) {
             // Fetch buffer → decode pipe drain possible this cycle?
             if t.fetch_buffered() > 0 && t.decoding < pipe_cap {
                 return None;
@@ -685,7 +649,7 @@ impl Core {
                     match self.program.fetch(t.fetch_pc) {
                         // Direction-starved: quiescent with no intrinsic
                         // wake (see above).
-                        Some(inst) if inst.is_cond_branch() && !t.dir.available() => {}
+                        Some(inst) if inst.is_cond_branch() && !h.available() => {}
                         // Anything else fetches — or mutates cache and
                         // front-end state trying to.
                         _ => return None,
@@ -719,7 +683,7 @@ impl Core {
             // refinement applies only to unfiltered threads (for the
             // others the plain source bound is already a valid floor).
             let t = &self.threads[q.thread];
-            if t.queued(q).inst.is_load() && t.filter.is_none() {
+            if t.queued(q).inst.is_load() && !hooks[q.thread].filtered() {
                 ready = ready.max(Self::load_block_bound(&self.prf, t, q.seq));
             }
             if ready <= now {
@@ -804,7 +768,7 @@ impl Core {
     // Commit
     // ------------------------------------------------------------------
 
-    fn stage_commit(&mut self) {
+    fn stage_commit<H: ThreadHooks>(&mut self, hooks: &mut [H]) {
         let nthreads = self.threads.len();
         if nthreads == 0 {
             return;
@@ -813,7 +777,7 @@ impl Core {
         for k in 0..nthreads {
             let tid = (self.cycle as usize + k) % nthreads;
             while budget > 0 {
-                if !self.commit_one(tid) {
+                if !self.commit_one(tid, &mut hooks[tid]) {
                     break;
                 }
                 budget -= 1;
@@ -821,7 +785,7 @@ impl Core {
         }
     }
 
-    fn commit_one(&mut self, tid: usize) -> bool {
+    fn commit_one<H: ThreadHooks>(&mut self, tid: usize, h: &mut H) -> bool {
         let cycle = self.cycle;
         let Core {
             threads,
@@ -851,7 +815,7 @@ impl Core {
             let s = t.store_queue.front().expect("a store in flight");
             debug_assert_eq!(s.seq, seq, "store queue out of step with the ROB");
             if let Some(addr) = s.addr {
-                t.mem.borrow_mut().store(addr, s.data);
+                h.store(addr, s.data);
                 mem.store(addr, e.pc, cycle);
             }
             t.store_queue.pop_front();
@@ -870,27 +834,23 @@ impl Core {
             }
         }
         counters.committed.inc();
-        // Borrow the sink in place — no per-commit `Rc` refcount churn.
-        // The sink cannot reach the core, so the ROB slot may be read
-        // while it runs and retired after.
-        if let Some(sink) = &t.commit_sink {
-            let rec = CommitRecord {
-                thread: tid,
-                seq,
-                inst: e.inst,
-                pc: e.pc,
-                cycle,
-                next_pc: e.actual_next_pc,
-                taken: e.actual_taken,
-                value: e.result,
-                mem_addr: e.addr,
-                l1_miss: e.l1_miss,
-                l2_miss: e.l2_miss,
-                tlb_miss: e.tlb_miss,
-                dispatch_to_exec: e.exec_done.saturating_sub(e.dispatch_cycle),
-            };
-            sink.borrow_mut().on_commit(&rec);
-        }
+        // The hooks cannot reach the core, so the ROB slot may be read
+        // while they run and retired after.
+        h.on_commit(&CommitRecord {
+            thread: tid,
+            seq,
+            inst: e.inst,
+            pc: e.pc,
+            cycle,
+            next_pc: e.actual_next_pc,
+            taken: e.actual_taken,
+            value: e.result,
+            mem_addr: e.addr,
+            l1_miss: e.l1_miss,
+            l2_miss: e.l2_miss,
+            tlb_miss: e.tlb_miss,
+            dispatch_to_exec: e.exec_done.saturating_sub(e.dispatch_cycle),
+        });
         t.rob.pop_front();
         true
     }
@@ -899,9 +859,9 @@ impl Core {
     // Writeback / branch resolution / value validation
     // ------------------------------------------------------------------
 
-    fn stage_writeback(&mut self) {
+    fn stage_writeback<H: ThreadHooks>(&mut self, hooks: &mut [H]) {
         let cycle = self.cycle;
-        for tid in 0..self.threads.len() {
+        for (tid, h) in hooks.iter_mut().enumerate() {
             if self.threads[tid].next_done > cycle {
                 continue;
             }
@@ -915,7 +875,7 @@ impl Core {
                 match Self::oldest_due(&t.executing, cycle) {
                     Ok(pos) => {
                         let (seq, _) = t.executing.swap_remove(pos);
-                        self.resolve_entry(tid, seq);
+                        self.resolve_entry(tid, seq, h);
                     }
                     Err(next_done) => {
                         t.next_done = next_done;
@@ -943,7 +903,7 @@ impl Core {
 
     /// Completes one instruction, squashing younger ones on a value or
     /// branch mispredict.
-    fn resolve_entry(&mut self, tid: usize, seq: u64) {
+    fn resolve_entry<H: ThreadHooks>(&mut self, tid: usize, seq: u64, h: &mut H) {
         let t = &mut self.threads[tid];
         let en = t.rob.at_mut(seq);
         en.stage = Stage::Done;
@@ -953,15 +913,13 @@ impl Core {
         if let Some(pred) = vpred {
             self.counters.value_validations.inc();
             let correct = result.unwrap_or(0) == pred;
-            if let Some(src) = &t.value_source {
-                src.borrow_mut().on_outcome(pc, correct);
-            }
+            h.value_outcome(pc, correct);
             if !correct {
                 self.counters.value_mispredicts.inc();
                 // Replay: squash younger instructions (which consumed the
                 // bad value) and refetch after this instruction. The
                 // instruction itself keeps its correct result.
-                self.squash_younger(tid, seq);
+                self.squash_younger(tid, seq, h);
                 return;
             }
         }
@@ -969,14 +927,14 @@ impl Core {
         if inst.is_branch() {
             let mispredicted = actual_next != pred_next;
             if inst.is_cond_branch() {
-                t.dir.resolve(pc, taken.unwrap_or(false), mispredicted);
+                h.resolve(pc, taken.unwrap_or(false), mispredicted);
             }
             if taken.unwrap_or(true) {
                 t.btb.update(pc, actual_next);
             }
             if mispredicted {
                 self.counters.branch_mispredicts.inc();
-                self.squash_younger(tid, seq);
+                self.squash_younger(tid, seq, h);
             }
         }
     }
@@ -995,7 +953,7 @@ impl Core {
 
     /// Squashes all entries younger than `seq` and redirects fetch after
     /// the squashing entry, which stays in the ROB.
-    fn squash_younger(&mut self, tid: usize, seq: u64) {
+    fn squash_younger<H: ThreadHooks>(&mut self, tid: usize, seq: u64, h: &mut H) {
         let cycle = self.cycle;
         let Core {
             threads,
@@ -1029,7 +987,7 @@ impl Core {
         t.halted_fetch = false;
         // Repair speculative front-end state to just-after the
         // squashing entry.
-        t.dir.restore(dir_snapshot, taken);
+        h.restore(dir_snapshot, taken);
         t.ras_restore(ras_snapshot);
         if matches!(
             inst.branch_kind(),
@@ -1071,7 +1029,7 @@ impl Core {
     // Issue / execute
     // ------------------------------------------------------------------
 
-    fn stage_issue(&mut self) {
+    fn stage_issue<H: ThreadHooks>(&mut self, hooks: &mut [H]) {
         // Single age-ordered pass with in-place compaction: issued
         // entries are dropped by not copying them forward, so one cycle
         // costs O(iq) instead of O(iq²) `Vec::remove` shifts. Entries
@@ -1081,7 +1039,7 @@ impl Core {
         let mut kept = 0usize;
         for i in 0..self.iq.len() {
             let q = self.iq[i];
-            if issued < self.cfg.issue_width && self.try_issue(q) {
+            if issued < self.cfg.issue_width && self.try_issue(q, &mut hooks[q.thread]) {
                 issued += 1;
                 continue;
             }
@@ -1095,7 +1053,7 @@ impl Core {
 
     /// Issues a queued instruction if it can go this cycle; returns
     /// whether it did.
-    fn try_issue(&mut self, q: IqEntry) -> bool {
+    fn try_issue<H: ThreadHooks>(&mut self, q: IqEntry, h: &mut H) -> bool {
         let cycle = self.cycle;
         let Core {
             cfg,
@@ -1117,10 +1075,7 @@ impl Core {
         if !fus.available(cfg, class, cycle) {
             return false;
         }
-        let prefetch_only = inst.is_load()
-            && t.filter
-                .as_ref()
-                .is_some_and(|f| f.borrow_mut().prefetch_only(pc));
+        let prefetch_only = inst.is_load() && h.prefetch_only(pc);
         if inst.is_load() && !prefetch_only && !t.store_queue.load_may_issue(q.seq) {
             return false; // an older store's address is unresolved
         }
@@ -1146,7 +1101,7 @@ impl Core {
                 let (ready, value) = match t.store_queue.forward(q.seq, a_addr) {
                     Some(v) => (cycle + 2, v),
                     None => {
-                        let value = t.mem.borrow_mut().load(a_addr);
+                        let value = h.load(a_addr);
                         let out = mem.load(a_addr, pc, cycle);
                         flags = (!out.l1_hit, !out.l2_hit, out.tlb_penalty > 0);
                         (out.ready.max(cycle + 1), value)
@@ -1164,12 +1119,7 @@ impl Core {
                 exec_done = cycle + 1;
             }
             Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
-                let mut taken = eval_cond(inst.op, a, b);
-                if let Some(ov) = &t.branch_override {
-                    if let Some(forced) = ov.borrow().force(pc) {
-                        taken = forced;
-                    }
-                }
+                let taken = h.force(pc).unwrap_or_else(|| eval_cond(inst.op, a, b));
                 actual_taken = Some(taken);
                 actual_next = if taken { inst.imm as u64 } else { seq_pc };
             }
@@ -1227,7 +1177,7 @@ impl Core {
     // Rename / dispatch
     // ------------------------------------------------------------------
 
-    fn stage_rename(&mut self) {
+    fn stage_rename<H: ThreadHooks>(&mut self, hooks: &mut [H]) {
         let nthreads = self.threads.len();
         if nthreads == 0 {
             return;
@@ -1259,7 +1209,7 @@ impl Core {
         for k in 0..nthreads {
             let tid = (self.cycle as usize + k) % nthreads;
             let mut renamed = 0u64;
-            while budget > 0 && self.rename_one(tid, &mut iq_free, &mut prf_free) {
+            while budget > 0 && self.rename_one(tid, &mut hooks[tid], &mut iq_free, &mut prf_free) {
                 budget -= 1;
                 renamed += 1;
             }
@@ -1283,7 +1233,13 @@ impl Core {
     }
 
     /// Renames the decode pipe's head into a ROB slot, filled in place.
-    fn rename_one(&mut self, tid: usize, iq_free: &mut usize, prf_free: &mut usize) -> bool {
+    fn rename_one<H: ThreadHooks>(
+        &mut self,
+        tid: usize,
+        h: &mut H,
+        iq_free: &mut usize,
+        prf_free: &mut usize,
+    ) -> bool {
         let cycle = self.cycle;
         if *iq_free == 0 || *prf_free == 0 {
             return false;
@@ -1311,10 +1267,7 @@ impl Core {
         }
         let (pc, inst) = (f.pc, f.inst);
         // Value-prediction lookup (main-thread value reuse).
-        let mut vpred = None;
-        if let Some(src) = &t.value_source {
-            vpred = src.borrow_mut().predict(pc, f.branch_tag, f.branch_offset);
-        }
+        let vpred = h.predict_value(pc, f.branch_tag, f.branch_offset);
         let seq = t.rob.tail();
         let uses = inst.uses();
         let src = [
@@ -1431,13 +1384,13 @@ impl Core {
     // Fetch
     // ------------------------------------------------------------------
 
-    fn stage_fetch(&mut self) {
-        for tid in 0..self.threads.len() {
-            self.fetch_thread(tid);
+    fn stage_fetch<H: ThreadHooks>(&mut self, hooks: &mut [H]) {
+        for (tid, h) in hooks.iter_mut().enumerate() {
+            self.fetch_thread(tid, h);
         }
     }
 
-    fn fetch_thread(&mut self, tid: usize) {
+    fn fetch_thread<H: ThreadHooks>(&mut self, tid: usize, h: &mut H) {
         let cycle = self.cycle;
         let Core {
             cfg,
@@ -1468,7 +1421,7 @@ impl Core {
             // perfectly quiescent, which is what lets `next_event_at`
             // prove the thread skippable while it waits for the queue.
             if let Some(inst) = &fetched {
-                if inst.is_cond_branch() && !t.dir.available() {
+                if inst.is_cond_branch() && !h.available() {
                     return;
                 }
             }
@@ -1498,11 +1451,7 @@ impl Core {
             slots += 1;
             // Skeleton masking: deleted instructions consume a fetch slot
             // but never enter the fetch buffer (paper §III-A iii).
-            let mask_deleted = match &t.filter {
-                Some(filter) => !filter.borrow_mut().keep(pc),
-                None => false,
-            };
-            if mask_deleted {
+            if !h.keep(pc) {
                 counters.mask_deleted.inc();
                 t.fetch_pc = pc + INST_BYTES;
                 continue;
@@ -1513,10 +1462,10 @@ impl Core {
             if matches!(kind, Some(BranchKind::Cond)) {
                 counters.bpred_lookups.inc();
             }
-            let dir_snapshot = t.dir.snapshot();
+            let dir_snapshot = h.snapshot();
             let ras_snapshot = t.ras_snapshot();
             match kind {
-                Some(BranchKind::Cond) => match t.dir.predict(pc) {
+                Some(BranchKind::Cond) => match h.predict(pc) {
                     Some(taken) => {
                         if taken {
                             next_pc = inst.imm as u64;
@@ -1545,8 +1494,7 @@ impl Core {
                     is_taken_branch = true;
                 }
                 Some(BranchKind::IndCall) | Some(BranchKind::IndJump) => {
-                    next_pc = t
-                        .dir
+                    next_pc = h
                         .indirect_target(pc)
                         .or_else(|| t.btb.predict(pc))
                         .unwrap_or(pc + INST_BYTES);
@@ -1559,7 +1507,7 @@ impl Core {
             }
             let (branch_tag, branch_offset);
             if inst.is_cond_branch() {
-                let tag = t.dir.last_tag().unwrap_or_else(|| {
+                let tag = h.last_tag().unwrap_or_else(|| {
                     let g = t.next_local_tag;
                     t.next_local_tag += 1;
                     g
@@ -1610,10 +1558,10 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iface::{BaseMem, PredictorDirection};
-    use r3dla_bpred::Tage;
-    use r3dla_isa::{ArchState, Asm, VecMem};
+    use crate::iface::BaseHooks;
+    use r3dla_isa::{ArchState, Asm};
     use r3dla_mem::{MemConfig, SharedLlc};
+    use std::cell::RefCell;
 
     /// A chase of four dependent cold loads, so that nothing commits
     /// for several DRAM round trips, then an endless loop of `stores`
@@ -1646,21 +1594,17 @@ mod tests {
     /// Runs `prog` for `cycles` on a one-thread core; returns the peak
     /// occupancy of its ROB, front end and store queue.
     fn peak_occupancy(cfg: &CoreConfig, prog: Program, cycles: u64) -> (usize, usize, usize) {
-        let prog = Rc::new(prog);
         let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
         let mem = CoreMem::new(&MemConfig::paper(), shared);
-        let mut core = Core::new(cfg.clone(), Rc::clone(&prog), mem);
-        let vm = Rc::new(RefCell::new(VecMem::new()));
-        vm.borrow_mut().load_image(prog.image());
+        let mut hooks = [BaseHooks::new(&prog)];
+        let mut core = Core::new(cfg.clone(), Arc::new(prog), mem);
         core.add_thread(
-            prog.entry(),
-            ArchState::new(prog.entry()).regs(),
-            Box::new(PredictorDirection::new(Box::new(Tage::paper()))),
-            Rc::new(RefCell::new(BaseMem(vm))),
+            core.program.entry(),
+            ArchState::new(core.program.entry()).regs(),
         );
         let mut peak = (0, 0, 0);
         for _ in 0..cycles {
-            core.step();
+            core.step(&mut hooks);
             let t = &core.threads[0];
             peak.0 = peak.0.max(t.rob.len());
             peak.1 = peak.1.max(t.front_end.len());

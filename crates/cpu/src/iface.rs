@@ -1,24 +1,31 @@
-//! The interfaces through which a core is steered and observed: fetch
-//! direction sources, fetch filters (skeleton masks), value-prediction
-//! sources, commit sinks, and the per-thread functional memory view.
+//! What a core asks of the world outside it. Each hardware thread has
+//! one [`ThreadHooks`] value — its fetch-direction source, fetch filter
+//! (skeleton mask), branch override, value-prediction source, functional
+//! memory and commit sink — and the core's owner passes them to every
+//! [`Core::step`](crate::Core::step) as one `&mut` slice. The core keeps
+//! no handle on them, so every hook call is a static call with no
+//! borrow flag, and the owner (a DLA system, say) may share state
+//! between its cores' hooks through plain fields.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use r3dla_bpred::DirectionPredictor;
-use r3dla_isa::{DataMem, Inst, VecMem};
+use r3dla_bpred::{DirectionPredictor, Tage};
+use r3dla_isa::{DataMem, Inst, Program, VecMem};
 
-/// Supplies conditional-branch directions to the fetch unit.
-///
-/// A conventional core wraps a predictor ([`PredictorDirection`]); a DLA
-/// main thread is fed from the Branch Outcome Queue instead, which may be
-/// momentarily empty — in that case [`predict`](Self::predict) returns
-/// `None` and fetch stalls (paper §III-A: "If the queue is empty, we stall
-/// the fetch").
-pub trait FetchDirection {
-    /// Source name for reports.
-    fn name(&self) -> &str;
-    /// Predicts the branch at `pc`, or `None` to stall fetch this cycle.
+/// Everything one hardware thread's pipeline asks of the world outside
+/// the core. Only the direction source and memory are required; the
+/// other hooks default to a conventional thread's behaviour.
+pub trait ThreadHooks {
+    // ---- Fetch direction ----------------------------------------------
+
+    /// Predicts the conditional branch at `pc`, or `None` to stall fetch
+    /// this cycle.
+    ///
+    /// A conventional core asks a predictor; a DLA main thread is fed
+    /// from the Branch Outcome Queue instead, which may be momentarily
+    /// empty (paper §III-A: "If the queue is empty, we stall the
+    /// fetch").
     fn predict(&mut self, pc: u64) -> Option<bool>;
     /// Whether a direction is currently available, without consuming it.
     ///
@@ -50,96 +57,61 @@ pub trait FetchDirection {
     /// Restores a snapshot after a squash; `resolved` carries the true
     /// outcome of the branch that caused it (if it was conditional).
     fn restore(&mut self, _snapshot: u64, _resolved: Option<bool>) {}
-    /// Functional warmup with one architectural branch outcome (sampled
-    /// simulation replays the emulator's branch stream through this
-    /// before a detailed window). Predictor-backed sources train on it;
-    /// queue-fed sources (the BOQ main thread) ignore it.
-    fn warm_outcome(&mut self, _pc: u64, _taken: bool) {}
-}
 
-/// [`FetchDirection`] backed by an ordinary direction predictor.
-pub struct PredictorDirection {
-    predictor: Box<dyn DirectionPredictor>,
-}
+    // ---- Fetch filter and branch override ------------------------------
 
-impl PredictorDirection {
-    /// Wraps a direction predictor.
-    pub fn new(predictor: Box<dyn DirectionPredictor>) -> Self {
-        Self { predictor }
+    /// Whether this thread filters its fetch stream (a look-ahead
+    /// thread running a skeleton). Unfiltered threads keep every
+    /// instruction and never issue prefetch payloads.
+    fn filtered(&self) -> bool {
+        false
     }
-}
-
-impl std::fmt::Debug for PredictorDirection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PredictorDirection")
-            .field("predictor", &self.predictor.name())
-            .finish()
+    /// Whether the instruction at `pc` is kept (on the skeleton):
+    /// look-ahead cores delete the rest "immediately upon fetch" (paper
+    /// §III-A iii).
+    fn keep(&mut self, _pc: u64) -> bool {
+        true
     }
-}
-
-impl FetchDirection for PredictorDirection {
-    fn name(&self) -> &str {
-        self.predictor.name()
-    }
-
-    fn predict(&mut self, pc: u64) -> Option<bool> {
-        Some(self.predictor.predict(pc))
-    }
-
-    fn resolve(&mut self, pc: u64, taken: bool, mispredicted: bool) {
-        self.predictor.update(pc, taken, mispredicted);
-    }
-
-    fn snapshot(&self) -> u64 {
-        self.predictor.history()
-    }
-
-    fn restore(&mut self, snapshot: u64, resolved: Option<bool>) {
-        self.predictor.restore_history(snapshot, resolved);
-    }
-
-    fn warm_outcome(&mut self, pc: u64, taken: bool) {
-        self.predictor.warm(pc, taken);
-    }
-}
-
-/// Filters fetched instructions: look-ahead cores delete instructions that
-/// are not on the skeleton "immediately upon fetch" (paper §III-A iii).
-pub trait FetchFilter {
-    /// Returns whether the instruction at `pc` is kept (on the skeleton).
-    fn keep(&mut self, pc: u64) -> bool;
-
     /// Whether the load at `pc` is a *prefetch payload*: the skeleton
     /// includes it to generate its address and touch the memory system,
-    /// but no skeleton instruction consumes its result, so the look-ahead
-    /// thread must not stall on it (paper §III-A: "a subset of memory
+    /// but no skeleton instruction consumes its result, so the thread
+    /// must not stall on it (paper §III-A: "a subset of memory
     /// instructions is also included in the skeleton as prefetch
     /// payloads").
     fn prefetch_only(&mut self, _pc: u64) -> bool {
         false
     }
-}
+    /// The forced direction of the conditional branch at `pc`, if any —
+    /// how bias-converted skeleton branches behave in the look-ahead
+    /// thread (paper §III-E1). The branch still executes and reports an
+    /// outcome (keeping the BOQ aligned), but its direction ignores the
+    /// (possibly stale) condition inputs.
+    fn force(&self, _pc: u64) -> Option<bool> {
+        None
+    }
 
-/// Forces the direction of selected conditional branches at execute —
-/// how bias-converted skeleton branches behave in the look-ahead thread
-/// (paper §III-E1: "conditional branches with a bias over a threshold can
-/// be converted to unconditional branches in the skeleton"). The branch
-/// still executes and reports an outcome (keeping the BOQ aligned), but
-/// its direction ignores the (possibly stale) condition inputs.
-pub trait BranchOverride {
-    /// The forced direction for the branch at `pc`, if any.
-    fn force(&self, pc: u64) -> Option<bool>;
-}
+    // ---- Value prediction (the DLA value-reuse path, paper §III-D1) ----
 
-/// Supplies value predictions to the rename stage (the DLA value-reuse
-/// path, paper §III-D1) and learns from validation outcomes.
-pub trait ValueSource {
     /// A prediction for the instruction at `pc`, which is `offset`
-    /// instructions after the `branch_seq`-th fetched conditional branch
+    /// instructions after the `branch_tag`-th fetched conditional branch
     /// (the FQ entry alignment scheme).
-    fn predict(&mut self, pc: u64, branch_seq: u64, offset: u32) -> Option<u64>;
-    /// Reports whether a consumed prediction validated correctly.
-    fn on_outcome(&mut self, pc: u64, correct: bool);
+    fn predict_value(&mut self, _pc: u64, _branch_tag: u64, _offset: u32) -> Option<u64> {
+        None
+    }
+    /// Reports whether a consumed value prediction validated correctly.
+    fn value_outcome(&mut self, _pc: u64, _correct: bool) {}
+
+    // ---- Functional memory ---------------------------------------------
+
+    /// Functional load.
+    fn load(&mut self, addr: u64) -> u64;
+    /// Functional store, performed at commit.
+    fn store(&mut self, addr: u64, val: u64);
+
+    // ---- Commit --------------------------------------------------------
+
+    /// Called once per committed instruction, in program order.
+    fn on_commit(&mut self, _rec: &CommitRecord) {}
 }
 
 /// Everything the rest of the system wants to know about one committed
@@ -175,61 +147,113 @@ pub struct CommitRecord {
     pub dispatch_to_exec: u64,
 }
 
-/// Observes the committed instruction stream (the look-ahead thread's
-/// BOQ/FQ generation taps this; so do profilers).
+/// Observes a committed instruction stream (profilers, experiment
+/// harnesses, per-PC attribution).
 pub trait CommitSink {
     /// Called once per committed instruction, in program order.
     fn on_commit(&mut self, rec: &CommitRecord);
 }
 
-/// A thread's functional view of data memory.
-///
-/// The main thread reads/writes the shared architectural memory; the
-/// look-ahead thread layers a speculative overlay on top (implemented in
-/// `r3dla-core`).
-pub trait ThreadMem {
-    /// Functional load.
-    fn load(&mut self, addr: u64) -> u64;
-    /// Functional store, performed at commit.
-    fn store(&mut self, addr: u64, val: u64);
+/// No sink.
+impl CommitSink for () {
+    fn on_commit(&mut self, _rec: &CommitRecord) {}
 }
 
-/// The main thread's direct view of architectural memory.
-#[derive(Debug, Clone)]
-pub struct BaseMem(pub Rc<RefCell<VecMem>>);
+/// An optional sink.
+impl<S: CommitSink> CommitSink for Option<S> {
+    fn on_commit(&mut self, rec: &CommitRecord) {
+        if let Some(sink) = self {
+            sink.on_commit(rec);
+        }
+    }
+}
 
-impl ThreadMem for BaseMem {
+/// A sink shared with its reader.
+impl<S: CommitSink + ?Sized> CommitSink for Rc<RefCell<S>> {
+    fn on_commit(&mut self, rec: &CommitRecord) {
+        self.borrow_mut().on_commit(rec);
+    }
+}
+
+/// A late-bound, shared commit observer.
+pub type Observer = Option<Rc<RefCell<dyn CommitSink>>>;
+
+/// A conventional thread's hooks: a TAGE direction predictor, its own
+/// architectural memory, every fetched instruction kept, no value
+/// prediction, and a commit sink `S` (`()` for none).
+#[derive(Debug, Clone)]
+pub struct BaseHooks<S = ()> {
+    /// The direction predictor.
+    pub dir: Tage,
+    /// The thread's architectural memory.
+    pub mem: VecMem,
+    /// Where committed instructions are reported.
+    pub sink: S,
+}
+
+impl BaseHooks {
+    /// A thread over a fresh copy of `program`'s data image, with no
+    /// commit sink.
+    pub fn new(program: &Program) -> Self {
+        Self::with_sink(program, ())
+    }
+}
+
+impl<S> BaseHooks<S> {
+    /// A thread over a fresh copy of `program`'s data image, reporting
+    /// commits to `sink`.
+    pub fn with_sink(program: &Program, sink: S) -> Self {
+        let mut mem = VecMem::new();
+        mem.load_image(program.image());
+        Self {
+            dir: Tage::paper(),
+            mem,
+            sink,
+        }
+    }
+}
+
+impl<S: CommitSink> ThreadHooks for BaseHooks<S> {
+    fn predict(&mut self, pc: u64) -> Option<bool> {
+        Some(self.dir.predict(pc))
+    }
+
+    fn resolve(&mut self, pc: u64, taken: bool, mispredicted: bool) {
+        self.dir.update(pc, taken, mispredicted);
+    }
+
+    fn snapshot(&self) -> u64 {
+        self.dir.history()
+    }
+
+    fn restore(&mut self, snapshot: u64, resolved: Option<bool>) {
+        self.dir.restore_history(snapshot, resolved);
+    }
+
     fn load(&mut self, addr: u64) -> u64 {
-        self.0.borrow_mut().load(addr)
+        self.mem.load(addr)
     }
 
     fn store(&mut self, addr: u64, val: u64) {
-        self.0.borrow_mut().store(addr, val);
+        self.mem.store(addr, val);
+    }
+
+    fn on_commit(&mut self, rec: &CommitRecord) {
+        self.sink.on_commit(rec);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use r3dla_bpred::Bimodal;
 
     #[test]
-    fn predictor_direction_round_trip() {
-        let mut d = PredictorDirection::new(Box::new(Bimodal::new(64)));
+    fn base_hooks_train_their_predictor() {
+        let mut h = BaseHooks::new(&Program::from_parts("empty", Vec::new(), 0, Vec::new()));
         for _ in 0..10 {
-            let p = d.predict(0x40).unwrap();
-            d.resolve(0x40, true, !p);
+            let p = h.predict(0x40).unwrap();
+            h.resolve(0x40, true, !p);
         }
-        assert_eq!(d.predict(0x40), Some(true));
-        assert_eq!(d.name(), "bimodal");
-    }
-
-    #[test]
-    fn base_mem_reads_shared_state() {
-        let shared = Rc::new(RefCell::new(VecMem::new()));
-        let mut a = BaseMem(Rc::clone(&shared));
-        let mut b = BaseMem(Rc::clone(&shared));
-        a.store(0x100, 7);
-        assert_eq!(b.load(0x100), 7);
+        assert_eq!(h.predict(0x40), Some(true));
     }
 }

@@ -5,13 +5,13 @@
 //! prediction, BTB and RAS, plus everything decoupled look-ahead needs to
 //! attach to it:
 //!
-//! * pluggable fetch-direction sources ([`FetchDirection`]) so the main
-//!   thread can be fed from the Branch Outcome Queue;
-//! * fetch filters ([`FetchFilter`]) so the look-ahead thread can delete
-//!   skeleton-masked instructions at fetch;
-//! * value-prediction sources ([`ValueSource`]) with replay-on-mispredict
-//!   and the validation-skip scoreboard (paper Fig 4);
-//! * commit sinks ([`CommitSink`]) from which the BOQ/FQ are generated;
+//! * per-thread [`ThreadHooks`], passed to every [`Core::step`]: the
+//!   fetch-direction source (so the main thread can be fed from the
+//!   Branch Outcome Queue), the fetch filter (so the look-ahead thread
+//!   can delete skeleton-masked instructions at fetch), value prediction
+//!   with replay-on-mispredict and the validation-skip scoreboard (paper
+//!   Fig 4), functional memory, and the commit stream from which the
+//!   BOQ/FQ are generated; [`BaseHooks`] is a conventional thread's;
 //! * SMT: several hardware threads sharing one wide backend (paper
 //!   §IV-B3).
 //!
@@ -20,9 +20,9 @@
 //! ```
 //! use std::cell::RefCell;
 //! use std::rc::Rc;
-//! use r3dla_bpred::Tage;
-//! use r3dla_cpu::{BaseMem, Core, CoreConfig, PredictorDirection};
-//! use r3dla_isa::{Asm, Reg, VecMem, ArchState};
+//! use std::sync::Arc;
+//! use r3dla_cpu::{BaseHooks, Core, CoreConfig};
+//! use r3dla_isa::{Asm, Reg, ArchState};
 //! use r3dla_mem::{CoreMem, MemConfig, SharedLlc};
 //!
 //! // A counted loop.
@@ -34,20 +34,14 @@
 //! a.addi(i, i, 1);
 //! a.blt(i, n, "loop");
 //! a.halt();
-//! let prog = Rc::new(a.finish().unwrap());
+//! let prog = Arc::new(a.finish().unwrap());
 //!
 //! let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
 //! let mem = CoreMem::new(&MemConfig::paper(), shared);
-//! let mut core = Core::new(CoreConfig::paper(), Rc::clone(&prog), mem);
-//! let vm = Rc::new(RefCell::new(VecMem::new()));
-//! let dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-//! let t = core.add_thread(
-//!     prog.entry(),
-//!     ArchState::new(prog.entry()).regs(),
-//!     dir,
-//!     Rc::new(RefCell::new(BaseMem(vm))),
-//! );
-//! core.run(100_000);
+//! let mut core = Core::new(CoreConfig::paper(), Arc::clone(&prog), mem);
+//! let t = core.add_thread(prog.entry(), ArchState::new(prog.entry()).regs());
+//! let mut hooks = [BaseHooks::new(&prog)];
+//! core.run(&mut hooks, 100_000);
 //! assert!(core.thread_halted(t));
 //! assert_eq!(core.arch_regs(t)[10], 100);
 //! ```
@@ -62,42 +56,31 @@ mod ring;
 pub use crate::core::{Core, ThreadStats, MASK_BASE};
 pub use config::{CoreConfig, CoreConfigBuilder};
 pub use counters::ActivityCounters;
-pub use iface::{
-    BaseMem, BranchOverride, CommitRecord, CommitSink, FetchDirection, FetchFilter,
-    PredictorDirection, ThreadMem, ValueSource,
-};
+pub use iface::{BaseHooks, CommitRecord, CommitSink, Observer, ThreadHooks};
 pub use prf::Prf;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use r3dla_bpred::Tage;
     use r3dla_isa::{ArchState, Asm, DataMem, Program, Reg, VecMem};
     use r3dla_mem::{CoreMem, MemConfig, SharedLlc};
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::sync::Arc;
 
-    fn build_core(prog: &Rc<Program>) -> (Core, usize, Rc<RefCell<VecMem>>) {
+    fn build_core(prog: &Arc<Program>) -> (Core, usize, [BaseHooks; 1]) {
         let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
         let mem = CoreMem::new(&MemConfig::paper(), shared);
-        let mut core = Core::new(CoreConfig::paper(), Rc::clone(prog), mem);
-        let vm = Rc::new(RefCell::new(VecMem::new()));
-        vm.borrow_mut().load_image(prog.image());
-        let dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-        let t = core.add_thread(
-            prog.entry(),
-            ArchState::new(prog.entry()).regs(),
-            dir,
-            Rc::new(RefCell::new(BaseMem(Rc::clone(&vm)))),
-        );
-        (core, t, vm)
+        let mut core = Core::new(CoreConfig::paper(), Arc::clone(prog), mem);
+        let t = core.add_thread(prog.entry(), ArchState::new(prog.entry()).regs());
+        (core, t, [BaseHooks::new(prog)])
     }
 
     /// Runs a program on the timing core and functionally, asserting the
     /// architectural end states agree — the golden-model check.
-    fn check_against_functional(prog: Rc<Program>, max_cycles: u64) -> (Core, usize) {
-        let (mut core, t, _vm) = build_core(&prog);
-        core.run(max_cycles);
+    fn check_against_functional(prog: Arc<Program>, max_cycles: u64) -> (Core, usize) {
+        let (mut core, t, mut h) = build_core(&prog);
+        core.run(&mut h, max_cycles);
         assert!(core.thread_halted(t), "core did not halt");
         let mut st = ArchState::new(prog.entry());
         let mut fm = VecMem::new();
@@ -124,7 +107,7 @@ mod tests {
         a.mul(x, x, y);
         a.addi(x, x, 58);
         a.halt();
-        check_against_functional(Rc::new(a.finish().unwrap()), 10_000);
+        check_against_functional(Arc::new(a.finish().unwrap()), 10_000);
     }
 
     #[test]
@@ -145,7 +128,7 @@ mod tests {
         a.addi(i, i, 1);
         a.blt(i, n, "loop");
         a.halt();
-        let (core, t) = check_against_functional(Rc::new(a.finish().unwrap()), 200_000);
+        let (core, t) = check_against_functional(Arc::new(a.finish().unwrap()), 200_000);
         // acc = sum of 2i for i in 0..64 = 64*63 = 4032.
         assert_eq!(core.arch_regs(t)[16], 4032);
     }
@@ -161,7 +144,7 @@ mod tests {
         a.ld(Reg::int(12), b, 0); // must forward 1234
         a.addi(Reg::int(12), Reg::int(12), 1);
         a.halt();
-        let (core, t) = check_against_functional(Rc::new(a.finish().unwrap()), 10_000);
+        let (core, t) = check_against_functional(Arc::new(a.finish().unwrap()), 10_000);
         assert_eq!(core.arch_regs(t)[12], 1235);
     }
 
@@ -177,7 +160,7 @@ mod tests {
         a.label("f");
         a.add(x, x, x);
         a.ret();
-        check_against_functional(Rc::new(a.finish().unwrap()), 20_000);
+        check_against_functional(Arc::new(a.finish().unwrap()), 20_000);
     }
 
     #[test]
@@ -212,7 +195,7 @@ mod tests {
         a.blt(i, n, "loop");
         a.halt();
         let expected: u64 = vals.iter().sum();
-        let (core, t) = check_against_functional(Rc::new(a.finish().unwrap()), 500_000);
+        let (core, t) = check_against_functional(Arc::new(a.finish().unwrap()), 500_000);
         assert_eq!(core.arch_regs(t)[14], expected);
         assert!(
             core.counters.branch_mispredicts.get() > 0,
@@ -232,7 +215,7 @@ mod tests {
         a.fadd(Reg::fp(2), Reg::fp(1), Reg::fp(1));
         a.cvtfi(Reg::int(12), Reg::fp(2)); // 284
         a.halt();
-        let (core, t) = check_against_functional(Rc::new(a.finish().unwrap()), 10_000);
+        let (core, t) = check_against_functional(Arc::new(a.finish().unwrap()), 10_000);
         assert_eq!(core.arch_regs(t)[12], 284);
     }
 
@@ -251,9 +234,9 @@ mod tests {
         a.addi(i, i, 1);
         a.blt(i, n, "loop");
         a.halt();
-        let prog = Rc::new(a.finish().unwrap());
-        let (mut core, t, _) = build_core(&prog);
-        core.run(200_000);
+        let prog = Arc::new(a.finish().unwrap());
+        let (mut core, t, mut h) = build_core(&prog);
+        core.run(&mut h, 200_000);
         assert!(core.thread_halted(t));
         let ipc = core.committed(t) as f64 / core.cycle() as f64;
         assert!(ipc <= 4.0 + 1e-9, "IPC {ipc} exceeds machine width");
@@ -282,9 +265,9 @@ mod tests {
         a.addi(cnt, cnt, 1);
         a.blt(cnt, lim, "chase");
         a.halt();
-        let prog = Rc::new(a.finish().unwrap());
-        let (mut core, t, _) = build_core(&prog);
-        core.run(3_000_000);
+        let prog = Arc::new(a.finish().unwrap());
+        let (mut core, t, mut h) = build_core(&prog);
+        core.run(&mut h, 3_000_000);
         assert!(core.thread_halted(t));
         let ipc = core.committed(t) as f64 / core.cycle() as f64;
         assert!(ipc < 1.0, "pointer chasing should be slow, IPC={ipc}");
@@ -323,9 +306,9 @@ mod tests {
         a.addi(i, i, 1);
         a.blt(i, n, "loop");
         a.halt();
-        let prog = Rc::new(a.finish().unwrap());
-        let (mut core, t, _) = build_core(&prog);
-        core.run(1_000_000);
+        let prog = Arc::new(a.finish().unwrap());
+        let (mut core, t, mut h) = build_core(&prog);
+        core.run(&mut h, 1_000_000);
         assert!(core.thread_halted(t));
         assert!(
             core.counters.executed.get() > core.committed(t),
@@ -343,21 +326,15 @@ mod tests {
         a.addi(i, i, 1);
         a.blt(i, n, "loop");
         a.halt();
-        let prog = Rc::new(a.finish().unwrap());
+        let prog = Arc::new(a.finish().unwrap());
         let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
         let mem = CoreMem::new(&MemConfig::paper(), shared);
-        let mut core = Core::new(CoreConfig::wide_smt(), Rc::clone(&prog), mem);
+        let mut core = Core::new(CoreConfig::wide_smt(), Arc::clone(&prog), mem);
         for _ in 0..2 {
-            let vm = Rc::new(RefCell::new(VecMem::new()));
-            let dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-            core.add_thread(
-                prog.entry(),
-                ArchState::new(prog.entry()).regs(),
-                dir,
-                Rc::new(RefCell::new(BaseMem(vm))),
-            );
+            core.add_thread(prog.entry(), ArchState::new(prog.entry()).regs());
         }
-        core.run(1_000_000);
+        let mut h = [BaseHooks::new(&prog), BaseHooks::new(&prog)];
+        core.run(&mut h, 1_000_000);
         assert!(core.thread_halted(0));
         assert!(core.thread_halted(1));
         assert_eq!(core.arch_regs(0)[10], 2000);
@@ -371,10 +348,10 @@ mod tests {
         a.addi(Reg::int(10), Reg::int(10), 1);
         a.j("spin");
         a.halt();
-        let prog = Rc::new(a.finish().unwrap());
-        let (mut core, t, _) = build_core(&prog);
+        let prog = Arc::new(a.finish().unwrap());
+        let (mut core, t, mut h) = build_core(&prog);
         for _ in 0..2000 {
-            core.step();
+            core.step(&mut h);
         }
         let before = core.committed(t);
         assert!(before > 0);
@@ -383,7 +360,7 @@ mod tests {
         core.reboot_thread(t, prog.entry(), regs, 64);
         // After reboot, the counter continues from the injected state.
         for _ in 0..2000 {
-            core.step();
+            core.step(&mut h);
         }
         assert!(
             core.arch_regs(t)[10] >= 5_000_000,
@@ -396,10 +373,10 @@ mod tests {
         let mut a = Asm::new();
         a.label("spin");
         a.j("spin");
-        let prog = Rc::new(a.finish().unwrap());
-        let (mut core, t, _) = build_core(&prog);
+        let prog = Arc::new(a.finish().unwrap());
+        let (mut core, t, mut h) = build_core(&prog);
         for _ in 0..200 {
-            core.step();
+            core.step(&mut h);
         }
         let max_occ = core.thread_stats(t).fetch_occupancy.max().unwrap_or(0);
         assert!(
@@ -415,7 +392,7 @@ mod tests {
     /// A pointer-chase program over a shuffled permutation — every load
     /// depends on the previous one and misses, producing the long
     /// quiescent stalls the fast path exists for.
-    fn chase_program(iters: i64) -> Rc<Program> {
+    fn chase_program(iters: i64) -> Arc<Program> {
         let mut rng = r3dla_stats::Rng::new(7);
         let n = 4096usize;
         let mut perm: Vec<u64> = (0..n as u64).collect();
@@ -434,7 +411,7 @@ mod tests {
         a.addi(cnt, cnt, 1);
         a.blt(cnt, lim, "chase");
         a.halt();
-        Rc::new(a.finish().unwrap())
+        Arc::new(a.finish().unwrap())
     }
 
     /// Full observable state of a core, for skip-equivalence comparisons:
@@ -456,26 +433,26 @@ mod tests {
     }
 
     /// Drives `core` cycle by cycle (the reference path).
-    fn run_slow(core: &mut Core, max_cycles: u64) {
+    fn run_slow<H: ThreadHooks>(core: &mut Core, h: &mut [H], max_cycles: u64) {
         let start = core.cycle();
         while !core.halted() && core.cycle() - start < max_cycles {
-            core.step();
+            core.step(h);
         }
     }
 
     /// Drives `core` through the event-driven fast path; returns the
     /// number of cycles fast-forwarded (to prove the path was exercised).
-    fn run_fast(core: &mut Core, max_cycles: u64) -> u64 {
+    fn run_fast<H: ThreadHooks>(core: &mut Core, h: &mut [H], max_cycles: u64) -> u64 {
         let start = core.cycle();
         let mut skipped = 0;
         while !core.halted() && core.cycle() - start < max_cycles {
-            match core.next_event_at() {
+            match core.next_event_at(h) {
                 Some(wake) => {
                     let target = wake.min(start + max_cycles);
                     skipped += target - core.cycle();
                     core.skip_to(target);
                 }
-                None => core.step(),
+                None => core.step(h),
             }
         }
         skipped
@@ -484,10 +461,10 @@ mod tests {
     #[test]
     fn skip_equivalence_on_memory_stalls() {
         let prog = chase_program(1_500);
-        let (mut fast, tf, _) = build_core(&prog);
-        let (mut slow, ts, _) = build_core(&prog);
-        let skipped = run_fast(&mut fast, 3_000_000);
-        run_slow(&mut slow, 3_000_000);
+        let (mut fast, tf, mut hf) = build_core(&prog);
+        let (mut slow, ts, mut hs) = build_core(&prog);
+        let skipped = run_fast(&mut fast, &mut hf, 3_000_000);
+        run_slow(&mut slow, &mut hs, 3_000_000);
         assert!(fast.thread_halted(tf) && slow.thread_halted(ts));
         assert!(
             skipped > 10_000,
@@ -523,29 +500,23 @@ mod tests {
         a.addi(cnt, cnt, 1);
         a.blt(cnt, lim, "chase");
         a.halt();
-        let prog = Rc::new(a.finish().unwrap());
+        let prog = Arc::new(a.finish().unwrap());
         let build_pair = || {
             let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
             let mem = CoreMem::new(&MemConfig::paper(), shared);
-            let mut core = Core::new(CoreConfig::paper(), Rc::clone(&prog), mem);
-            for iters in [400u64, 40] {
-                let vm = Rc::new(RefCell::new(VecMem::new()));
-                vm.borrow_mut().load_image(prog.image());
-                vm.borrow_mut().store(limword, iters);
-                let dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-                core.add_thread(
-                    prog.entry(),
-                    ArchState::new(prog.entry()).regs(),
-                    dir,
-                    Rc::new(RefCell::new(BaseMem(vm))),
-                );
-            }
-            core
+            let mut core = Core::new(CoreConfig::paper(), Arc::clone(&prog), mem);
+            let hooks = [400u64, 40].map(|iters| {
+                core.add_thread(prog.entry(), ArchState::new(prog.entry()).regs());
+                let mut h = BaseHooks::new(&prog);
+                h.mem.store(limword, iters);
+                h
+            });
+            (core, hooks)
         };
-        let mut fast = build_pair();
-        let mut slow = build_pair();
-        let skipped = run_fast(&mut fast, 4_000_000);
-        run_slow(&mut slow, 4_000_000);
+        let (mut fast, mut hf) = build_pair();
+        let (mut slow, mut hs) = build_pair();
+        let skipped = run_fast(&mut fast, &mut hf, 4_000_000);
+        run_slow(&mut slow, &mut hs, 4_000_000);
         assert!(fast.halted() && slow.halted(), "both SMT threads must halt");
         assert!(
             fast.committed(0) > fast.committed(1),
@@ -555,23 +526,27 @@ mod tests {
         assert_eq!(core_fingerprint(&fast, 2), core_fingerprint(&slow, 2));
     }
 
-    /// A direction source whose supply is refilled externally — the
+    /// A thread whose directions are refilled externally — the
     /// core-level model of a BOQ-fed main thread.
-    struct QueueDirection {
-        supply: Rc<RefCell<std::collections::VecDeque<bool>>>,
+    struct QueueHooks {
+        supply: std::collections::VecDeque<bool>,
+        mem: VecMem,
     }
 
-    impl FetchDirection for QueueDirection {
-        fn name(&self) -> &str {
-            "queue"
-        }
+    impl ThreadHooks for QueueHooks {
         fn predict(&mut self, _pc: u64) -> Option<bool> {
-            self.supply.borrow_mut().pop_front()
+            self.supply.pop_front()
         }
         fn available(&self) -> bool {
-            !self.supply.borrow().is_empty()
+            !self.supply.is_empty()
         }
         fn resolve(&mut self, _pc: u64, _taken: bool, _mispredicted: bool) {}
+        fn load(&mut self, addr: u64) -> u64 {
+            self.mem.load(addr)
+        }
+        fn store(&mut self, addr: u64, val: u64) {
+            self.mem.store(addr, val);
+        }
     }
 
     #[test]
@@ -588,61 +563,49 @@ mod tests {
         a.addi(x, x, 1);
         a.blt(x, lim, "loop");
         a.halt();
-        let prog = Rc::new(a.finish().unwrap());
+        let prog = Arc::new(a.finish().unwrap());
         let build = || {
-            let supply = Rc::new(RefCell::new(std::collections::VecDeque::new()));
-            for _ in 0..32 {
-                supply.borrow_mut().push_back(true);
-            }
             let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
             let mem = CoreMem::new(&MemConfig::paper(), shared);
-            let mut core = Core::new(CoreConfig::paper(), Rc::clone(&prog), mem);
-            let vm = Rc::new(RefCell::new(VecMem::new()));
-            vm.borrow_mut().load_image(prog.image());
-            let dir = Box::new(QueueDirection {
-                supply: Rc::clone(&supply),
-            });
-            core.add_thread(
-                prog.entry(),
-                ArchState::new(prog.entry()).regs(),
-                dir,
-                Rc::new(RefCell::new(BaseMem(vm))),
-            );
+            let mut core = Core::new(CoreConfig::paper(), Arc::clone(&prog), mem);
+            core.add_thread(prog.entry(), ArchState::new(prog.entry()).regs());
+            let mut h = [QueueHooks {
+                supply: [true; 32].into(),
+                mem: BaseHooks::new(&prog).mem,
+            }];
             // Drain the 32 supplied directions and the pipeline.
             for _ in 0..4_000 {
-                core.step();
+                core.step(&mut h);
             }
-            assert!(supply.borrow().is_empty(), "supply must be exhausted");
-            (core, supply)
+            assert!(h[0].supply.is_empty(), "supply must be exhausted");
+            (core, h)
         };
-        let (mut fast, fast_supply) = build();
-        let (mut slow, slow_supply) = build();
+        let (mut fast, mut hf) = build();
+        let (mut slow, mut hs) = build();
         assert_eq!(
-            fast.next_event_at(),
+            fast.next_event_at(&hf),
             Some(u64::MAX),
             "a drained, direction-starved core has no intrinsic wakeup"
         );
         // Skipping 100 starved cycles must equal stepping through them.
         fast.skip_to(fast.cycle() + 100);
         for _ in 0..100 {
-            slow.step();
+            slow.step(&mut hs);
         }
         assert_eq!(core_fingerprint(&fast, 1), core_fingerprint(&slow, 1));
         // Refill: both cores must wake and make identical progress again.
         let committed_before = fast.committed(0);
-        for supply in [&fast_supply, &slow_supply] {
-            for _ in 0..64 {
-                supply.borrow_mut().push_back(true);
-            }
+        for h in [&mut hf, &mut hs] {
+            h[0].supply.extend([true; 64]);
         }
         assert_eq!(
-            fast.next_event_at(),
+            fast.next_event_at(&hf),
             None,
             "a refilled direction queue makes the thread runnable now"
         );
         for _ in 0..2_000 {
-            fast.step();
-            slow.step();
+            fast.step(&mut hf);
+            slow.step(&mut hs);
         }
         assert!(fast.committed(0) > committed_before);
         assert_eq!(core_fingerprint(&fast, 1), core_fingerprint(&slow, 1));

@@ -402,7 +402,7 @@ fn evaluate_cell(
         TrialKind::Point { cfg, skel } => {
             let mut sys = ctx.prepared.dla_system_from_checkpoint_with(
                 cfg.clone(),
-                (**skel).clone(),
+                Arc::clone(skel),
                 &iv.ckpt,
             );
             sys.set_fast_forward(spec.fast_forward);
@@ -522,7 +522,7 @@ impl DsePlan {
             .collect();
         let skels: Vec<Arc<SkeletonSet>> = parallel_map(&skel_cells, threads, |&(wi, si)| {
             let (opt, t1) = &skel_reqs[si];
-            Arc::new(ctxs[wi].prepared.skeletons_for(opt, *t1))
+            ctxs[wi].prepared.skeletons_for(opt, *t1)
         });
         let skel_for = |wi: usize, opt: &SkeletonOptions, t1: bool| -> Arc<SkeletonSet> {
             let si = skel_reqs

@@ -234,6 +234,7 @@ impl Inst {
     };
 
     /// Returns the register this instruction writes, if any (never `r0`).
+    #[inline]
     pub fn def(&self) -> Option<Reg> {
         use Op::*;
         let rd = match self.op {
@@ -247,6 +248,7 @@ impl Inst {
     }
 
     /// Returns the registers this instruction reads (zero register elided).
+    #[inline]
     pub fn uses(&self) -> [Option<Reg>; 2] {
         use Op::*;
         let (a, b) = match self.op {
@@ -263,31 +265,37 @@ impl Inst {
     }
 
     /// Whether this is a memory load.
+    #[inline]
     pub fn is_load(&self) -> bool {
         self.op == Op::Ld
     }
 
     /// Whether this is a memory store.
+    #[inline]
     pub fn is_store(&self) -> bool {
         self.op == Op::St
     }
 
     /// Whether this accesses memory.
+    #[inline]
     pub fn is_mem(&self) -> bool {
         self.is_load() || self.is_store()
     }
 
     /// Whether this is any control-flow instruction.
+    #[inline]
     pub fn is_branch(&self) -> bool {
         self.branch_kind().is_some()
     }
 
     /// Whether this is a conditional branch.
+    #[inline]
     pub fn is_cond_branch(&self) -> bool {
         matches!(self.branch_kind(), Some(BranchKind::Cond))
     }
 
     /// Control-flow classification, if this is a branch.
+    #[inline]
     pub fn branch_kind(&self) -> Option<BranchKind> {
         use Op::*;
         match self.op {
@@ -313,12 +321,14 @@ impl Inst {
     }
 
     /// Whether the branch target is known statically (direct control flow).
+    #[inline]
     pub fn has_static_target(&self) -> bool {
         use Op::*;
         matches!(self.op, Beq | Bne | Blt | Bge | Bltu | Bgeu | Jal)
     }
 
     /// The functional-unit class this instruction occupies.
+    #[inline]
     pub fn fu_class(&self) -> FuClass {
         use Op::*;
         match self.op {
@@ -333,6 +343,7 @@ impl Inst {
     }
 
     /// Execution latency in cycles on its functional unit.
+    #[inline]
     pub fn latency(&self) -> u64 {
         match self.fu_class() {
             FuClass::IntAlu | FuClass::Branch => 1,

@@ -159,7 +159,11 @@ pub(crate) enum Probe {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set, set-major: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    /// `sets - 1`, for set indexing.
+    set_mask: usize,
     mshrs: Vec<Mshr>,
     stamp: u64,
     /// Statistics; public for read access in the C-struct spirit.
@@ -176,7 +180,8 @@ impl Cache {
         let sets = cfg.num_sets();
         assert!(sets > 0 && sets.is_power_of_two(), "bad cache geometry");
         Self {
-            sets: vec![vec![INVALID_LINE; cfg.ways]; sets],
+            lines: vec![INVALID_LINE; sets * cfg.ways],
+            set_mask: sets - 1,
             mshrs: Vec::with_capacity(cfg.mshrs),
             stamp: 0,
             stats: CacheStats::default(),
@@ -189,9 +194,11 @@ impl Cache {
         &self.cfg
     }
 
+    /// Where in `lines` the set holding `line_addr` lies.
     #[inline]
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / LINE_BYTES) as usize) & (self.sets.len() - 1)
+    fn set_range(&self, line_addr: u64) -> std::ops::Range<usize> {
+        let start = (((line_addr / LINE_BYTES) as usize) & self.set_mask) * self.cfg.ways;
+        start..start + self.cfg.ways
     }
 
     fn prune_mshrs(&mut self, now: u64) {
@@ -203,10 +210,10 @@ impl Cache {
     /// fills it on miss.
     pub fn touch(&mut self, addr: u64) -> bool {
         let line_addr = crate::line_of(addr);
-        let si = self.set_index(line_addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = &mut self.sets[si];
+        let ways = self.set_range(line_addr);
+        let set = &mut self.lines[ways];
         if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == line_addr) {
             l.stamp = stamp;
             return true;
@@ -230,8 +237,9 @@ impl Cache {
     /// change).
     pub fn contains(&self, addr: u64) -> bool {
         let line_addr = crate::line_of(addr);
-        let si = self.set_index(line_addr);
-        self.sets[si].iter().any(|l| l.valid && l.tag == line_addr)
+        self.lines[self.set_range(line_addr)]
+            .iter()
+            .any(|l| l.valid && l.tag == line_addr)
     }
 
     /// Probes for a demand access, updating statistics and LRU.
@@ -241,7 +249,7 @@ impl Cache {
     /// its tag is already installed.
     pub(crate) fn probe(&mut self, addr: u64, kind: AccessKind, now: u64) -> Probe {
         let line_addr = crate::line_of(addr);
-        let si = self.set_index(line_addr);
+        let ways = self.set_range(line_addr);
         self.stamp += 1;
         let stamp = self.stamp;
         self.stats.accesses.inc();
@@ -253,7 +261,7 @@ impl Cache {
                 self.stats.prefetch_late.inc();
             }
             let ready = m.ready.max(now + self.cfg.latency);
-            if let Some(l) = self.sets[si]
+            if let Some(l) = self.lines[ways]
                 .iter_mut()
                 .find(|l| l.valid && l.tag == line_addr)
             {
@@ -265,7 +273,7 @@ impl Cache {
             }
             return Probe::Merge(ready, was_prefetch);
         }
-        let set = &mut self.sets[si];
+        let set = &mut self.lines[ways];
         if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == line_addr) {
             l.stamp = stamp;
             if kind == AccessKind::Write {
@@ -321,7 +329,6 @@ impl Cache {
         prefetch: bool,
     ) -> Option<u64> {
         let line_addr = crate::line_of(addr);
-        let si = self.set_index(line_addr);
         self.stamp += 1;
         let stamp = self.stamp;
         if self.mshrs.len() < self.cfg.mshrs {
@@ -331,7 +338,8 @@ impl Cache {
                 prefetch,
             });
         }
-        let set = &mut self.sets[si];
+        let ways = self.set_range(line_addr);
+        let set = &mut self.lines[ways];
         if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == line_addr) {
             // Already present (prefetch raced with a demand fill, or a
             // writeback landing on a resident copy): refresh LRU and keep
@@ -374,13 +382,22 @@ impl Cache {
         wb
     }
 
+    /// The resident lines of every set, least recently used first: the
+    /// order in which LRU would evict them.
+    pub fn victim_order(&self) -> Vec<Vec<u64>> {
+        self.lines
+            .chunks(self.cfg.ways)
+            .map(|set| {
+                let mut valid: Vec<&Line> = set.iter().filter(|l| l.valid).collect();
+                valid.sort_by_key(|l| l.stamp);
+                valid.iter().map(|l| l.tag).collect()
+            })
+            .collect()
+    }
+
     /// Invalidates everything (used on context reinitialization).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                *l = INVALID_LINE;
-            }
-        }
+        self.lines.fill(INVALID_LINE);
         self.mshrs.clear();
     }
 }

@@ -114,6 +114,11 @@ impl SharedLlc {
         &self.dram.stats
     }
 
+    /// The L3 tag array.
+    pub fn l3(&self) -> &Cache {
+        &self.l3
+    }
+
     /// Direct access to the L3 tag array (used by warm-up utilities).
     pub fn l3_mut(&mut self) -> &mut Cache {
         &mut self.l3
@@ -418,6 +423,17 @@ impl CoreMem {
     /// Handle to the shared levels.
     pub fn shared(&self) -> Rc<RefCell<SharedLlc>> {
         Rc::clone(&self.shared)
+    }
+
+    /// The private levels' replacement state: the resident lines of every
+    /// L1I, L1D and L2 set, then the DTLB's pages, each least recently
+    /// used first (see [`Cache::victim_order`]).
+    pub fn victim_order(&self) -> Vec<Vec<u64>> {
+        let mut rows = self.l1i.victim_order();
+        rows.extend(self.l1d.victim_order());
+        rows.extend(self.l2.victim_order());
+        rows.push(self.dtlb.victim_order());
+        rows
     }
 
     /// Flushes the private caches and TLB (context reinitialization).

@@ -114,6 +114,14 @@ impl Tlb {
         *victim = (page, self.stamp);
     }
 
+    /// The resident pages, least recently used first: the order in which
+    /// LRU would evict them.
+    pub fn victim_order(&self) -> Vec<u64> {
+        let mut entries = self.entries.clone();
+        entries.sort_by_key(|&(_, stamp)| stamp);
+        entries.into_iter().map(|(page, _)| page).collect()
+    }
+
     /// Drops all translations.
     pub fn flush(&mut self) {
         self.entries.clear();

@@ -165,12 +165,30 @@ pub fn apply_touches<T: WarmTarget + ?Sized>(target: &mut T, touches: &[Touch]) 
 /// settled with a short detailed pre-window instead; the
 /// [`warm_branch`](WarmTarget::warm_branch) hook remains for
 /// experiments that want the architectural-training behavior.
+///
+/// A touch is skipped when the previous touch that reached a cache was
+/// of the same kind (instruction or data) and the same 64-byte line
+/// (branch touches reach none). It would only re-stamp lines, and a TLB
+/// page, that the previous touch left the most recent in every structure
+/// it reaches, so residency and LRU victim order are the same either
+/// way.
 pub fn apply_cache_touches<T: WarmTarget + ?Sized>(target: &mut T, touches: &[Touch]) {
+    let mut last = None;
     for t in touches {
-        match *t {
-            Touch::Inst(pc) => target.warm_inst(pc),
-            Touch::Data(addr) => target.warm_data(addr),
-            Touch::Branch { .. } => {}
+        let (inst, addr) = match *t {
+            Touch::Inst(pc) => (true, pc),
+            Touch::Data(addr) => (false, addr),
+            Touch::Branch { .. } => continue,
+        };
+        let key = Some((inst, r3dla_mem::line_of(addr)));
+        if key == last {
+            continue;
+        }
+        last = key;
+        if inst {
+            target.warm_inst(addr);
+        } else {
+            target.warm_data(addr);
         }
     }
 }

@@ -1,27 +1,29 @@
 //! Bit-exact fingerprints of the detailed core on paths the CI report
 //! gates do not reach: RAS repair on mispredicted call/return paths in
 //! the profiling training run, the store queue's load ordering and
-//! forwarding in training runs, and two hardware threads sharing one
-//! wide SMT core.
+//! forwarding in training runs, two hardware threads sharing one wide
+//! SMT core, and the look-ahead link under each R3 piece on its own.
 //!
 //! Each constant was taken from a release build of the model before
 //! the host-cost change that it guards (shared RAS snapshots, ROB-free
 //! issue checks and the executing list; then in-place rings and the
-//! store-queue cursor) and must not move under host-cost changes. An
+//! store-queue cursor; then the owned link and its static hook calls)
+//! and must not move under host-cost changes. An
 //! intended model change must update them, and say so in its change
 //! notes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use r3dla::bpred::Tage;
 use r3dla::core::{profile, timing_budget, DlaConfig};
-use r3dla::cpu::{BaseMem, CommitRecord, CommitSink, Core, CoreConfig, PredictorDirection};
-use r3dla::isa::{ArchState, BranchKind, Program, VecMem};
+use r3dla::cpu::{BaseHooks, CommitRecord, CommitSink, Core, CoreConfig};
+use r3dla::isa::{ArchState, BranchKind, Program};
 use r3dla::mem::{CoreMem, MemConfig, SharedLlc};
 use r3dla::prefetch::by_name as by_prefetcher;
-use r3dla::workloads::{by_name, Scale};
-use r3dla_bench::measure_smt;
+use r3dla::workloads::{by_name, suite, Scale};
+use r3dla_bench::runner::{CellKind, ConfigSpec};
+use r3dla_bench::{measure_smt, parallel_map, Prepared};
 
 /// FNV-1a over a sequence of 64-bit words.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -85,30 +87,24 @@ impl CommitSink for StreamSink {
 /// The committed stream of a workload's training run: the core, memory
 /// and budget `profile` uses, with a sink on every commit.
 fn training_stream(name: &str) -> u64 {
-    let prog = Rc::new(tiny_program(name));
+    let prog = Arc::new(tiny_program(name));
     let mem_cfg = MemConfig::paper();
     let shared = Rc::new(RefCell::new(SharedLlc::new(&mem_cfg)));
     let mut mem = CoreMem::new(&mem_cfg, shared);
     mem.set_l2_prefetcher(by_prefetcher("bop").expect("known prefetcher"));
-    let mut core = Core::new(CoreConfig::paper(), Rc::clone(&prog), mem);
-    let vm = Rc::new(RefCell::new(VecMem::new()));
-    vm.borrow_mut().load_image(prog.image());
-    let t = core.add_thread(
-        prog.entry(),
-        ArchState::new(prog.entry()).regs(),
-        Box::new(PredictorDirection::new(Box::new(Tage::paper()))),
-        Rc::new(RefCell::new(BaseMem(vm))),
-    );
-    let sink = Rc::new(RefCell::new(StreamSink(0xcbf2_9ce4_8422_2325)));
-    core.set_commit_sink(t, sink.clone());
+    let mut core = Core::new(CoreConfig::paper(), Arc::clone(&prog), mem);
+    let t = core.add_thread(prog.entry(), ArchState::new(prog.entry()).regs());
+    let mut hooks = [BaseHooks::with_sink(
+        &prog,
+        StreamSink(0xcbf2_9ce4_8422_2325),
+    )];
     let budget = timing_budget(DlaConfig::dla().profile_insts);
     let max_cycles = budget * 30;
     let mut last_probe = u64::MAX;
     while !core.halted() && core.committed(t) < budget && core.cycle() < max_cycles {
-        core.step_or_skip(max_cycles, &mut last_probe);
+        core.step_or_skip(&mut hooks, max_cycles, &mut last_probe);
     }
-    let h = sink.borrow().0;
-    h
+    hooks[0].sink.0
 }
 
 /// The store queue's two rules, pinned on training runs. A load waits
@@ -143,21 +139,15 @@ fn two_thread_smt_row_is_pinned() {
     );
 
     // The same two threads stepped directly, pinned as a full stat row.
-    let program = Rc::new(built.program.clone());
+    let program = Arc::new(built.program.clone());
     let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
     let mem = CoreMem::new(&MemConfig::paper(), shared);
-    let mut core = Core::new(CoreConfig::wide_smt(), Rc::clone(&program), mem);
-    for _ in 0..2 {
-        let vm = Rc::new(RefCell::new(VecMem::new()));
-        vm.borrow_mut().load_image(program.image());
-        core.add_thread(
-            program.entry(),
-            ArchState::new(program.entry()).regs(),
-            Box::new(PredictorDirection::new(Box::new(Tage::paper()))),
-            Rc::new(RefCell::new(BaseMem(vm))),
-        );
-    }
-    core.run(20_000);
+    let mut core = Core::new(CoreConfig::wide_smt(), Arc::clone(&program), mem);
+    let mut hooks = [(); 2].map(|_| {
+        core.add_thread(program.entry(), ArchState::new(program.entry()).regs());
+        BaseHooks::new(&program)
+    });
+    core.run(&mut hooks, 20_000);
     let c = &core.counters;
     let mut row = format!(
         "cycles={} fetched={} decoded={} executed={} committed={} squashed={} \
@@ -199,4 +189,62 @@ fn two_thread_smt_row_is_pinned() {
          | t1 committed=8691 cond=920 loads=1840 l1d_misses=117 hists=dfbf02b5874545cf",
         "{name}: two-thread stat row"
     );
+}
+
+/// One DLA-family cell from the program entry: the MT commit stream
+/// folded by a [`StreamSink`] observer, then the final cycle, LT
+/// commits and reboots.
+fn lookahead_row(p: &Prepared, config: &str) -> String {
+    let spec = ConfigSpec::by_name(config).expect("known config");
+    let CellKind::Dla(cfg) = spec.kind else {
+        panic!("{config} is not a look-ahead config")
+    };
+    let mut sys = p.dla_system(cfg);
+    let sink = Rc::new(RefCell::new(StreamSink(0xcbf2_9ce4_8422_2325)));
+    sys.set_mt_observer(sink.clone());
+    sys.run_until_mt(30_000, 3_000_000);
+    let stream = sink.borrow().0;
+    format!(
+        "{config}: stream={stream:016x} cycle={} lt={} reboots={}",
+        sys.cycle(),
+        sys.lt().committed(0),
+        sys.reboots
+    )
+}
+
+/// The look-ahead link, pinned per R3 piece: plain DLA, full R3, and
+/// each piece on its own (T1 offload, value reuse, the 32-entry fetch
+/// buffer, dynamic recycling). `rgbyuv_like` shrinks its skeleton
+/// under T1 and fills the larger fetch buffer; `cg_like` switches
+/// skeleton versions under recycling and reboots under R3.
+#[test]
+fn lookahead_pieces_are_pinned() {
+    let names = ["rgbyuv_like", "cg_like"];
+    let workloads: Vec<_> = suite()
+        .into_iter()
+        .filter(|w| names.contains(&w.name))
+        .collect();
+    let prepared = parallel_map(&workloads, 2, |w| Prepared::new(w, Scale::Tiny));
+    let rows: Vec<String> = prepared
+        .iter()
+        .flat_map(|p| {
+            ["dla", "r3", "dla_t1", "dla_vr", "dla_fb", "dla_rc"]
+                .map(|c| format!("{} {}", p.name, lookahead_row(p, c)))
+        })
+        .collect();
+    let want = [
+        "rgbyuv_like dla: stream=ebf7fe61bb5bc293 cycle=26407 lt=25344 reboots=0",
+        "rgbyuv_like r3: stream=803c1b1937bb96b9 cycle=33908 lt=13038 reboots=0",
+        "rgbyuv_like dla_t1: stream=bdb161ab6afffc0a cycle=35185 lt=11698 reboots=0",
+        "rgbyuv_like dla_vr: stream=63608f78d2fb7e8d cycle=27033 lt=25344 reboots=0",
+        "rgbyuv_like dla_fb: stream=87a272aa4eceaeff cycle=26378 lt=25359 reboots=0",
+        "rgbyuv_like dla_rc: stream=ebf7fe61bb5bc293 cycle=26407 lt=25344 reboots=0",
+        "cg_like dla: stream=fd0b8876fa25bc62 cycle=23459 lt=18192 reboots=0",
+        "cg_like r3: stream=4728906e2596e0c2 cycle=24187 lt=21506 reboots=1",
+        "cg_like dla_t1: stream=e9144059fafa70d9 cycle=23808 lt=18192 reboots=0",
+        "cg_like dla_vr: stream=61b017c4c9b62cd8 cycle=23454 lt=18188 reboots=0",
+        "cg_like dla_fb: stream=ff8bd6a3c1993b0f cycle=23459 lt=18192 reboots=0",
+        "cg_like dla_rc: stream=260517c36a05186f cycle=23761 lt=21584 reboots=0",
+    ];
+    assert_eq!(rows, want, "look-ahead rows");
 }

@@ -104,8 +104,7 @@ fn recycle_usage_is_tracked() {
     cfg.recycle = RecycleMode::Dynamic;
     let mut sys = DlaSystem::build(&wl, cfg, SkeletonOptions::default()).unwrap();
     sys.run_until_mt(120_000, 40_000_000);
-    let active = sys.active_skeleton();
-    let usage = active.borrow().usage.clone();
+    let usage = sys.active_skeleton().usage.clone();
     assert_eq!(usage.len(), 6, "six skeleton versions");
     assert!(usage.iter().sum::<u64>() > 0);
 }

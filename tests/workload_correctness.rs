@@ -2,19 +2,19 @@
 //! the functional executor — across the whole suite (the strongest
 //! cross-crate correctness net we have).
 
-use r3dla::bpred::Tage;
-use r3dla::cpu::{BaseMem, Core, CoreConfig, PredictorDirection};
+use r3dla::cpu::{BaseHooks, Core, CoreConfig};
 use r3dla::isa::{run, ArchState, Reg, VecMem};
 use r3dla::mem::{CoreMem, MemConfig, SharedLlc};
 use r3dla::workloads::{suite, Scale};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 #[test]
 fn timing_core_matches_functional_on_every_workload() {
     for w in suite() {
         let built = w.build(Scale::Tiny);
-        let program = Rc::new(built.program.clone());
+        let program = Arc::new(built.program.clone());
         // Functional golden run.
         let mut st = ArchState::new(program.entry());
         let mut fm = VecMem::new();
@@ -23,17 +23,9 @@ fn timing_core_matches_functional_on_every_workload() {
         // Timing run.
         let shared = Rc::new(RefCell::new(SharedLlc::new(&MemConfig::paper())));
         let mem = CoreMem::new(&MemConfig::paper(), shared);
-        let mut core = Core::new(CoreConfig::paper(), Rc::clone(&program), mem);
-        let vm = Rc::new(RefCell::new(VecMem::new()));
-        vm.borrow_mut().load_image(program.image());
-        let dir = Box::new(PredictorDirection::new(Box::new(Tage::paper())));
-        let t = core.add_thread(
-            program.entry(),
-            ArchState::new(program.entry()).regs(),
-            dir,
-            Rc::new(RefCell::new(BaseMem(vm))),
-        );
-        core.run(steps * 60 + 2_000_000);
+        let mut core = Core::new(CoreConfig::paper(), Arc::clone(&program), mem);
+        let t = core.add_thread(program.entry(), ArchState::new(program.entry()).regs());
+        core.run(&mut [BaseHooks::new(&program)], steps * 60 + 2_000_000);
         assert!(
             core.thread_halted(t),
             "{}: timing core did not halt",
